@@ -11,7 +11,7 @@ GO ?= go
 GOFMT ?= gofmt
 SCENARIO := examples/platforms/mobile-7nm.json
 
-.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci bench bench-parallel bench-trace bench-gbt bench-engine bench-serve bench-loadtest clean
+.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke ci bench bench-parallel bench-trace bench-gbt bench-engine bench-serve bench-loadtest loc clean
 
 all: build
 
@@ -128,7 +128,7 @@ bench:
 bench-parallel:
 	BENCH_PARALLEL=1 $(GO) test -run TestWriteBenchParallelArtefact -v .
 
-# Refresh BENCH_trace.json (materialized vs streaming RunStatic).
+# Refresh BENCH_trace.json (a streamed static run into a PeakReducer).
 bench-trace:
 	BENCH_TRACE=1 $(GO) test -run TestWriteBenchTraceArtefact -v .
 
@@ -156,6 +156,13 @@ bench-loadtest:
 	code=$$?; rm -f bench_loadtest; \
 	if [ $$code -ne 0 ]; then echo "bench-loadtest: exit $$code"; exit 1; fi; \
 	echo "bench-loadtest: wrote BENCH_loadtest.json"
+
+# Size ledger: non-test and test Go line counts of the module, without
+# the perfbench/ harness and the .bench_build/ caches it leaves behind.
+LOC_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@echo "non-test Go lines: $$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go lines:     $$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 clean:
 	$(GO) clean ./...

@@ -154,30 +154,14 @@ type (
 	PeakReducer = trace.PeakReducer
 )
 
-// TeeObservers fans one observer stream out to several observers.
-func TeeObservers(obs ...TraceObserver) TraceObserver { return trace.Tee(obs...) }
-
 // RunStaticObserved warm-starts the pipeline and streams a fixed-
-// frequency run of the named workload to the observers; it is the
-// streaming equivalent of Pipeline.RunStatic and bit-identical to it.
+// frequency run of the named workload to the observers.
 func RunStaticObserved(p *Pipeline, name string, fGHz float64, steps int, obs ...TraceObserver) error {
 	return trace.RunStatic(p, name, fGHz, steps, obs...)
 }
 
-// DriveTrace advances the pipeline steps timesteps from its current
-// state, asking freqFn for each step's frequency and fanning the
-// telemetry to the observers (no warm start, no materialization).
-func DriveTrace(p *Pipeline, run *WorkloadRun, freqFn func(step int) float64, steps int, obs ...TraceObserver) error {
-	return trace.Drive(p, run, freqFn, steps, obs...)
-}
-
-// Workloads.
-type (
-	// Workload is a synthetic SPEC CPU2006 behavioural model.
-	Workload = workload.Workload
-	// WorkloadRun is one seeded execution of a workload (Workload.NewRun).
-	WorkloadRun = workload.Run
-)
+// Workload is a synthetic SPEC CPU2006 behavioural model.
+type Workload = workload.Workload
 
 // Workloads returns the full 27-benchmark catalogue.
 func Workloads() []*Workload { return workload.DefaultSet().Catalog() }

@@ -2,12 +2,10 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/hotgauge/boreas/internal/control"
 	"github.com/hotgauge/boreas/internal/power"
 	"github.com/hotgauge/boreas/internal/sim"
-	"github.com/hotgauge/boreas/internal/trace"
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
@@ -33,8 +31,9 @@ type LoopConfig struct {
 	CounterTap control.CounterTap
 	// VF is the operating curve StartFreq is validated against and
 	// controller decisions are clamped with. The zero value means "the
-	// pipeline's curve": RunLoop fills it from the pipeline, so only
-	// standalone Validate calls fall back to the default Table I curve.
+	// pipeline's curve": RunLoop and NewChipStream fill it from the
+	// pipeline, so only standalone Validate calls fall back to the
+	// default Table I curve.
 	VF power.VFCurve
 }
 
@@ -91,77 +90,24 @@ type LoopResult struct {
 	Stats Stats
 }
 
-// loopObserver closes the control loop over the streaming drive: it
-// scores every timestep into the LoopResult and, at decision boundaries,
-// feeds the step's telemetry to the session — whose commanded frequency
-// the drive's freqFn reads before executing the next step. Everything it
-// retains from the scratch StepResult is copied by value (scalars and
-// the Counters struct), per the trace.Observer contract.
-type loopObserver struct {
-	cfg  LoopConfig
-	sess *Session
-	res  *LoopResult
-}
-
-func (o *loopObserver) Begin(trace.Meta) {}
-
-func (o *loopObserver) Observe(step int, r *sim.StepResult) {
-	res := o.res
-	res.Freqs = append(res.Freqs, o.sess.Freq())
-	res.Severity = append(res.Severity, r.Severity.Max)
-	res.SensorTemp = append(res.SensorTemp, r.SensorDelayed[o.cfg.SensorIndex])
-	res.PeakMLTD = math.Max(res.PeakMLTD, r.Severity.MaxMLTD)
-	if r.Severity.Max >= 1.0 {
-		res.Incursions++
-	}
-	if (step+1)%o.cfg.DecisionPeriod == 0 && step+1 < o.cfg.Steps {
-		obs := Observation{
-			Counters:   r.Counters,
-			SensorTemp: r.SensorDelayed[o.cfg.SensorIndex],
-		}
-		if o.cfg.CounterTap != nil {
-			o.cfg.CounterTap.Apply(step, &obs.Counters)
-		}
-		o.sess.Decide(obs)
-	}
-}
-
-func (o *loopObserver) End() error { return nil }
-
-// RunLoop executes a closed-loop run of the controller on the workload.
-// The pipeline is warm-started at the starting frequency; a Session
-// wraps the controller and owns the operating point between decisions.
-// The run streams through trace.Drive — no intermediate []sim.StepResult
-// is materialized.
+// RunLoop executes a closed-loop run of the controller on the workload:
+// it opens a ChipStream (warm-started at the starting frequency, fault
+// taps installed), steps it cfg.Steps times at the frequency a Session
+// wrapping the controller commands, and hands the session each decision
+// boundary's observation. The scores come from the stream's Summary.
 func RunLoop(p *sim.Pipeline, w *workload.Workload, ctrl control.Controller, cfg LoopConfig) (*LoopResult, error) {
-	if cfg.VF.IsZero() {
-		cfg.VF = p.VF()
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.SensorIndex >= p.NumSensors() {
-		return nil, fmt.Errorf("engine: sensor index %d out of range", cfg.SensorIndex)
-	}
-	if err := p.WarmStart(w, cfg.StartFreq); err != nil {
-		return nil, err
-	}
-	sess, err := NewSession(SessionConfig{Controller: ctrl, VF: cfg.VF, StartFreq: cfg.StartFreq})
+	cs, err := openStream(p, w, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.SensorTap != nil {
-		// Installed after WarmStart so the fault window is measured in
-		// run steps; removed before returning so the caller's pipeline is
-		// clean for the next run.
-		p.SetSensorTap(cfg.SensorTap)
+		// Leave the caller's pipeline clean for the next run.
 		defer p.SetSensorTap(nil)
 	}
-	if cfg.CounterTap != nil {
-		cfg.CounterTap.Reset()
+	sess, err := NewSession(SessionConfig{Controller: ctrl, VF: cs.cfg.VF, StartFreq: cfg.StartFreq})
+	if err != nil {
+		return nil, err
 	}
-	run := w.NewRun(p.Config().Seed)
-
 	res := &LoopResult{
 		Workload:   w.Name,
 		Controller: ctrl.Name(),
@@ -169,18 +115,24 @@ func RunLoop(p *sim.Pipeline, w *workload.Workload, ctrl control.Controller, cfg
 		Severity:   make([]float64, 0, cfg.Steps),
 		SensorTemp: make([]float64, 0, cfg.Steps),
 	}
-	lo := &loopObserver{cfg: cfg, sess: sess, res: res}
-	if err := trace.Drive(p, run, func(int) float64 { return sess.Freq() }, cfg.Steps, lo); err != nil {
-		return nil, err
+	for step := 0; step < cfg.Steps; step++ {
+		freq := sess.Freq()
+		r, err := cs.step(freq)
+		if err != nil {
+			return nil, err
+		}
+		res.Freqs = append(res.Freqs, freq)
+		res.Severity = append(res.Severity, r.Severity.Max)
+		res.SensorTemp = append(res.SensorTemp, r.SensorDelayed[cfg.SensorIndex])
+		if (step+1)%cfg.DecisionPeriod == 0 && step+1 < cfg.Steps {
+			sess.Decide(cs.observation())
+		}
 	}
-	sum := 0.0
-	for _, f := range res.Freqs {
-		sum += f
-	}
-	res.AvgFreq = sum / float64(len(res.Freqs))
-	for _, s := range res.Severity {
-		res.PeakSeverity = math.Max(res.PeakSeverity, s)
-	}
+	sum := cs.Summary()
+	res.AvgFreq = sum.AvgFreq
+	res.PeakSeverity = sum.PeakSeverity
+	res.PeakMLTD = sum.PeakMLTD
+	res.Incursions = sum.Incursions
 	res.Stats = sess.Stats
 	return res, nil
 }

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/control"
+	"github.com/hotgauge/boreas/internal/faults"
 	"github.com/hotgauge/boreas/internal/sim"
 )
 
@@ -29,7 +31,8 @@ func gradedTable(p *sim.Pipeline) *control.CriticalTemps {
 // a ChipStream externally with a Session — the exact decomposition the
 // load-replay harness performs with an HTTP daemon in the middle — is
 // bit-identical to RunLoop on the same pipeline seed: same aggregate
-// scores, same decision stats, down to float equality.
+// scores, same decision stats, down to float equality. It holds with
+// sensor and counter fault taps installed too.
 func TestChipStreamMatchesRunLoop(t *testing.T) {
 	p := fastSim(t)
 	table := gradedTable(p)
@@ -37,68 +40,80 @@ func TestChipStreamMatchesRunLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultLoopConfig()
-	cfg.Steps = 60 // 4 decisions at period 12, plus a 12-step tail
-
-	ref, err := RunLoop(p, w, control.NewThermalController(table, 0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The trajectory must actually move, or the equivalence is vacuous.
-	if ref.Stats.Throttles+ref.Stats.Climbs == 0 {
-		t.Fatalf("reference trajectory never moved: %+v", ref.Stats)
-	}
-
-	// Same pipeline: NewChipStream warm-starts from scratch, so the
-	// stream replays the identical run.
-	cs, err := NewChipStream(p, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(SessionConfig{
-		Controller: control.NewThermalController(table, 0),
-		VF:         p.VF(),
-		StartFreq:  cfg.StartFreq,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decisions := (cfg.Steps - 1) / cfg.DecisionPeriod
-	freq := cfg.StartFreq
-	for k := 0; k < decisions; k++ {
-		obs, err := cs.Next(freq)
+	clean := DefaultLoopConfig()
+	clean.Steps = 60 // 4 decisions at period 12, plus a 12-step tail
+	withTaps := func() LoopConfig {
+		cfg := clean
+		sensor, err := faults.NewSensor(faults.Scenario{Class: faults.SensorNoise, Intensity: 0.5, Start: 3, Sensor: -1, Seed: 5})
 		if err != nil {
-			t.Fatalf("tick %d: %v", k, err)
-		}
-		freq = sess.Decide(obs).Freq
-	}
-	if tail := cfg.Steps - decisions*cfg.DecisionPeriod; tail > 0 {
-		if _, err := cs.Advance(freq, tail); err != nil {
 			t.Fatal(err)
 		}
+		counter, err := faults.NewCounter(faults.Scenario{Class: faults.CounterCorrupt, Intensity: 1, Start: 20, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SensorTap, cfg.CounterTap = sensor, counter
+		return cfg
 	}
+	for _, tc := range []struct {
+		name string
+		cfg  func() LoopConfig
+	}{
+		{"clean", func() LoopConfig { return clean }},
+		{"fault taps", withTaps},
+	} {
+		cfg := tc.cfg()
+		ref, err := RunLoop(p, w, control.NewThermalController(table, 0), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The trajectory must actually move, or the equivalence is vacuous.
+		if ref.Stats.Throttles+ref.Stats.Climbs == 0 {
+			t.Fatalf("%s: reference trajectory never moved: %+v", tc.name, ref.Stats)
+		}
 
-	sum := cs.Summary()
-	if sum.Steps != cfg.Steps {
-		t.Fatalf("stream ran %d steps, want %d", sum.Steps, cfg.Steps)
-	}
-	if sum.Workload != ref.Workload {
-		t.Fatalf("workload %q, want %q", sum.Workload, ref.Workload)
-	}
-	if sum.AvgFreq != ref.AvgFreq {
-		t.Fatalf("AvgFreq %v != RunLoop %v", sum.AvgFreq, ref.AvgFreq)
-	}
-	if sum.PeakSeverity != ref.PeakSeverity {
-		t.Fatalf("PeakSeverity %v != RunLoop %v", sum.PeakSeverity, ref.PeakSeverity)
-	}
-	if sum.PeakMLTD != ref.PeakMLTD {
-		t.Fatalf("PeakMLTD %v != RunLoop %v", sum.PeakMLTD, ref.PeakMLTD)
-	}
-	if sum.Incursions != ref.Incursions {
-		t.Fatalf("Incursions %d != RunLoop %d", sum.Incursions, ref.Incursions)
-	}
-	if sess.Stats != ref.Stats {
-		t.Fatalf("Stats %+v != RunLoop %+v", sess.Stats, ref.Stats)
+		// Same pipeline: NewChipStream warm-starts from scratch, so the
+		// stream replays the identical run (with fresh taps).
+		cfg = tc.cfg()
+		cs, err := NewChipStream(p, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewSession(SessionConfig{
+			Controller: control.NewThermalController(table, 0),
+			VF:         p.VF(),
+			StartFreq:  cfg.StartFreq,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decisions := (cfg.Steps - 1) / cfg.DecisionPeriod
+		freq := cfg.StartFreq
+		for k := 0; k < decisions; k++ {
+			obs, err := cs.Next(freq)
+			if err != nil {
+				t.Fatalf("%s: tick %d: %v", tc.name, k, err)
+			}
+			freq = sess.Decide(obs).Freq
+		}
+		if tail := cfg.Steps - decisions*cfg.DecisionPeriod; tail > 0 {
+			if _, err := cs.Advance(freq, tail); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.SetSensorTap(nil)
+
+		sum := cs.Summary()
+		got := LoopResult{Workload: sum.Workload, AvgFreq: sum.AvgFreq, PeakSeverity: sum.PeakSeverity,
+			PeakMLTD: sum.PeakMLTD, Incursions: sum.Incursions, Stats: sess.Stats}
+		want := LoopResult{Workload: ref.Workload, AvgFreq: ref.AvgFreq, PeakSeverity: ref.PeakSeverity,
+			PeakMLTD: ref.PeakMLTD, Incursions: ref.Incursions, Stats: ref.Stats}
+		if sum.Steps != cfg.Steps {
+			t.Fatalf("%s: stream ran %d steps, want %d", tc.name, sum.Steps, cfg.Steps)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: stream %+v\n != RunLoop %+v", tc.name, got, want)
+		}
 	}
 }
 
@@ -124,6 +139,31 @@ func TestChipStreamOpenEnded(t *testing.T) {
 	}
 	if got := cs.Steps(); got != 20*cfg.DecisionPeriod {
 		t.Fatalf("Steps = %d, want %d", got, 20*cfg.DecisionPeriod)
+	}
+}
+
+// TestChipStreamNextZeroAlloc pins that advancing a stream allocates
+// nothing: the step loop reuses one scratch result and the boundary
+// observation is returned by value.
+func TestChipStreamNextZeroAlloc(t *testing.T) {
+	p := fastSim(t)
+	w, err := p.Workloads().ByName("gamess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewChipStream(p, w, DefaultLoopConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Next(3.75); err != nil { // first call sizes the scratch
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := cs.Next(3.75); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ChipStream.Next allocates %v times per call, want 0", n)
 	}
 }
 

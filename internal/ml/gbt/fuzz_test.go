@@ -35,7 +35,7 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(full)
 	f.Add(full[:len(full)/2])
 	f.Add([]byte{})
-	f.Add([]byte{0x31, 0x54, 0x47, 0x42}) // bare magic
+	f.Add([]byte{0x32, 0x54, 0x47, 0x42}) // bare magic
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadModel(data)
 		if err != nil {

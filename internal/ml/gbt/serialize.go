@@ -9,18 +9,13 @@ import (
 	"math"
 )
 
-// Binary model format: a compact little-endian encoding. Version 1
-// stored thresholds, leaf values and gains as float32, which truncated
-// the float64 the trainer produced — a reloaded model could route a
-// sample across a threshold differently than the model that was
-// evaluated in the lab. Version 2 stores all three as float64, so
-// save→load is bit-exact; version 1 files remain readable. (The paper's
-// hardware-cost accounting of one 32-bit word per node lives in
-// WeightBytes and is unaffected by the file format.)
-const (
-	magicV1 = 0x42475431 // "BGT1": legacy float32 node payload, read-only
-	magicV2 = 0x42475432 // "BGT2": float64 node payload, written by WriteTo
-)
+// Binary model format: a compact little-endian encoding whose node
+// payload (thresholds, leaf values, gains) is float64, so save→load is
+// bit-exact. The retired version 1 ("BGT1") stored that payload as
+// float32 and is rejected as a bad magic. (The paper's hardware-cost
+// accounting of one 32-bit word per node lives in WeightBytes and is
+// unaffected by the file format.)
+const magicV2 = 0x42475432 // "BGT2"
 
 // WriteTo serialises the model.
 func (m *Model) WriteTo(w io.Writer) (int64, error) {
@@ -103,10 +98,9 @@ func Read(r io.Reader) (*Model, error) {
 	if err := get(&mg); err != nil {
 		return nil, fmt.Errorf("gbt: reading magic: %w", err)
 	}
-	if mg != magicV1 && mg != magicV2 {
+	if mg != magicV2 {
 		return nil, fmt.Errorf("gbt: bad magic %#x", mg)
 	}
-	legacy32 := mg == magicV1
 	var numTrees, maxDepth, numFeat, treeCount uint32
 	for _, p := range []*uint32{&numTrees, &maxDepth, &numFeat, &treeCount} {
 		if err := get(p); err != nil {
@@ -163,30 +157,14 @@ func Read(r io.Reader) (*Model, error) {
 			if err := get(&nodes[i].Right); err != nil {
 				return nil, err
 			}
-			if legacy32 {
-				var th, val, gain float32
-				if err := get(&th); err != nil {
-					return nil, err
-				}
-				if err := get(&val); err != nil {
-					return nil, err
-				}
-				if err := get(&gain); err != nil {
-					return nil, err
-				}
-				nodes[i].Threshold = float64(th)
-				nodes[i].Value = float64(val)
-				nodes[i].Gain = float64(gain)
-			} else {
-				if err := get(&nodes[i].Threshold); err != nil {
-					return nil, err
-				}
-				if err := get(&nodes[i].Value); err != nil {
-					return nil, err
-				}
-				if err := get(&nodes[i].Gain); err != nil {
-					return nil, err
-				}
+			if err := get(&nodes[i].Threshold); err != nil {
+				return nil, err
+			}
+			if err := get(&nodes[i].Value); err != nil {
+				return nil, err
+			}
+			if err := get(&nodes[i].Gain); err != nil {
+				return nil, err
 			}
 			if nodes[i].Feature >= 0 {
 				// Trees are stored breadth-first, so a legitimate child

@@ -7,37 +7,37 @@ import (
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/sim"
+	"github.com/hotgauge/boreas/internal/trace"
 )
 
 // shortTrace runs a tiny fixed-frequency run and returns the trace.
-func shortTrace(t *testing.T, cfg sim.Config, name string, fGHz float64, steps int) []sim.StepResult {
+func shortTrace(t *testing.T, cfg sim.Config, name string, fGHz float64, steps int) *trace.Trace {
 	t.Helper()
 	p, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := p.RunStatic(name, fGHz, steps)
-	if err != nil {
+	var rec trace.Recorder
+	if err := trace.RunStatic(p, name, fGHz, steps, &rec); err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return &rec.T
 }
 
-func tracesEqual(t *testing.T, a, b []sim.StepResult) {
+func tracesEqual(t *testing.T, a, b *trace.Trace) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+	if a.Len() != b.Len() {
+		t.Fatalf("trace lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x.Severity.Max != y.Severity.Max || x.TotalPower != y.TotalPower ||
-			x.Voltage != y.Voltage || x.Counters != y.Counters {
-			t.Fatalf("step %d diverges: %+v vs %+v", i, x, y)
+	for i := 0; i < a.Len(); i++ {
+		if a.Severities[i].Max != b.Severities[i].Max || a.Power[i] != b.Power[i] ||
+			a.Volts[i] != b.Volts[i] || a.Counters[i] != b.Counters[i] {
+			t.Fatalf("step %d diverges: %+v vs %+v", i, a.At(i), b.At(i))
 		}
-		for s := range x.SensorDelayed {
-			if x.SensorDelayed[s] != y.SensorDelayed[s] {
-				t.Fatalf("step %d sensor %d diverges", i, s)
-			}
+	}
+	for k := range a.SensorDelayed {
+		if a.SensorDelayed[k] != b.SensorDelayed[k] {
+			t.Fatalf("step %d sensor %d diverges", k/a.NumSensors, k%a.NumSensors)
 		}
 	}
 }
@@ -127,10 +127,10 @@ func TestVariantsRunEndToEnd(t *testing.T) {
 			}
 			f := pf.VF.ClampFrequency(3.5)
 			tr := shortTrace(t, pf.SimConfig(), "gromacs", f, 25)
-			if len(tr) != 25 {
-				t.Fatalf("short trace truncated: %d steps", len(tr))
+			if tr.Len() != 25 {
+				t.Fatalf("short trace truncated: %d steps", tr.Len())
 			}
-			if tr[len(tr)-1].TotalPower <= 0 {
+			if tr.Power[tr.Len()-1] <= 0 {
 				t.Fatal("no power dissipated")
 			}
 		})

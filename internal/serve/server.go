@@ -156,6 +156,15 @@ func handleDecide(reg *Registry, w http.ResponseWriter, r *http.Request) {
 			badRequest(reg, w, fmt.Sprintf("batch of %d exceeds the %d-observation limit", len(req.Batch), MaxBatch))
 			return
 		}
+		// Validate the whole batch before deciding any of it: a rejected
+		// batch must leave every session untouched, or a client retrying
+		// it would advance the chips ahead of the bad item twice.
+		for i, item := range req.Batch {
+			if err := checkItem(item.Chip, item.Observation); err != nil {
+				badRequest(reg, w, fmt.Sprintf("batch[%d]: %v", i, err))
+				return
+			}
+		}
 		out := make([]Decision, 0, len(req.Batch))
 		for i, item := range req.Batch {
 			d, err := decideOne(reg, item.Chip, item.Observation)
@@ -167,6 +176,10 @@ func handleDecide(reg *Registry, w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, DecideResponse{Decisions: out})
 	case req.Observation != nil:
+		if err := checkItem(req.Chip, *req.Observation); err != nil {
+			badRequest(reg, w, err.Error())
+			return
+		}
 		d, err := decideOne(reg, req.Chip, *req.Observation)
 		if err != nil {
 			badRequest(reg, w, err.Error())
@@ -178,15 +191,21 @@ func handleDecide(reg *Registry, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decideOne validates one wire observation and runs it through the
-// registry.
-func decideOne(reg *Registry, chip string, o Observation) (Decision, error) {
+// checkItem validates one wire observation: a chip ID and finite
+// numbers throughout.
+func checkItem(chip string, o Observation) error {
 	if chip == "" {
-		return Decision{}, fmt.Errorf("empty chip ID")
+		return fmt.Errorf("empty chip ID")
 	}
 	if err := checkFinite(o); err != nil {
-		return Decision{}, fmt.Errorf("chip %s: %w", chip, err)
+		return fmt.Errorf("chip %s: %w", chip, err)
 	}
+	return nil
+}
+
+// decideOne runs one observation, already validated by checkItem,
+// through the registry.
+func decideOne(reg *Registry, chip string, o Observation) (Decision, error) {
 	d, err := reg.Decide(chip, engine.Observation{
 		Counters:   o.Counters,
 		SensorTemp: o.SensorTemp,

@@ -116,6 +116,7 @@ func TestHandleDecideBadPayloads(t *testing.T) {
 		{"overflowing counter", `{"chip":"c0","observation":{"sensor_temp":55,"counters":{"TotalCycles":1e999}}}`},
 		{"batch with empty chip", `{"batch":[{"chip":"","observation":{"sensor_temp":55}}]}`},
 		{"batch mixed with single", `{"chip":"c0","observation":{"sensor_temp":55},"batch":[{"chip":"b","observation":{"sensor_temp":55}}]}`},
+		{"batch good then empty chip", `{"batch":[{"chip":"a","observation":{"sensor_temp":55}},{"chip":"","observation":{"sensor_temp":55}}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,10 +128,15 @@ func TestHandleDecideBadPayloads(t *testing.T) {
 			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 				t.Fatalf("400 body is not an error JSON: %s", body)
 			}
+			// A rejected request is transactional: no session created or
+			// advanced, no decision counted.
+			if n := reg.Len(); n != 0 {
+				t.Fatalf("rejected payload left %d sessions", n)
+			}
+			if d := reg.Snapshot().Decisions; d != 0 {
+				t.Fatalf("rejected payload counted %d decisions", d)
+			}
 		})
-	}
-	if reg.Len() != 0 {
-		t.Fatalf("bad payloads created %d sessions", reg.Len())
 	}
 	if snap := reg.Snapshot(); snap.BadRequests != uint64(len(cases)) {
 		t.Fatalf("BadRequests = %d, want %d", snap.BadRequests, len(cases))

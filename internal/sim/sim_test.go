@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/hotgauge/boreas/internal/hotspot"
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
@@ -68,9 +67,9 @@ func TestStepAdvancesTime(t *testing.T) {
 	p := newPipeline(t)
 	w, _ := workload.DefaultSet().ByName("gamess")
 	run := w.NewRun(1)
+	var r StepResult
 	for i := 1; i <= 5; i++ {
-		r, err := p.Step(run, 3.75)
-		if err != nil {
+		if err := p.StepInto(run, 3.75, &r); err != nil {
 			t.Fatal(err)
 		}
 		want := float64(i) * p.Config().TimestepSec
@@ -85,10 +84,8 @@ func TestStepResultSane(t *testing.T) {
 	w, _ := workload.DefaultSet().ByName("calculix")
 	run := w.NewRun(1)
 	var r StepResult
-	var err error
 	for i := 0; i < 20; i++ {
-		r, err = p.Step(run, 4.0)
-		if err != nil {
+		if err := p.StepInto(run, 4.0, &r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,80 +103,6 @@ func TestStepResultSane(t *testing.T) {
 	}
 	if len(r.SensorDelayed) != 7 || len(r.SensorCurrent) != 7 {
 		t.Fatal("sensor readings missing")
-	}
-}
-
-func TestRunStaticTraceLength(t *testing.T) {
-	p := newPipeline(t)
-	tr, err := p.RunStatic("gamess", 3.0, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr) != 25 {
-		t.Fatalf("trace length %d, want 25", len(tr))
-	}
-}
-
-func TestRunStaticUnknownWorkload(t *testing.T) {
-	p := newPipeline(t)
-	if _, err := p.RunStatic("quake", 3.0, 10); err == nil {
-		t.Fatal("expected unknown-workload error")
-	}
-	if _, err := p.RunStatic("gamess", 3.0, 0); err == nil {
-		t.Fatal("expected step-count error")
-	}
-}
-
-func TestHigherFrequencyHigherSeverity(t *testing.T) {
-	p := newPipeline(t)
-	lo, err := p.RunStatic("calculix", 2.5, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := p.RunStatic("calculix", 4.75, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if PeakSeverity(hi) <= PeakSeverity(lo) {
-		t.Fatalf("severity must grow with frequency: %v vs %v",
-			PeakSeverity(hi), PeakSeverity(lo))
-	}
-}
-
-func TestWorkloadDiversity(t *testing.T) {
-	// A hot FP workload and a memory-bound workload must separate clearly
-	// at the same frequency - the paper's application-dependence premise.
-	p := newPipeline(t)
-	hot, err := p.RunStatic("calculix", 4.25, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cool, err := p.RunStatic("omnetpp", 4.25, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if PeakSeverity(hot) < PeakSeverity(cool)+0.15 {
-		t.Fatalf("calculix (%v) should be far more severe than omnetpp (%v)",
-			PeakSeverity(hot), PeakSeverity(cool))
-	}
-}
-
-func TestDeterministicTraces(t *testing.T) {
-	a := newPipeline(t)
-	b := newPipeline(t)
-	ta, err := a.RunStatic("gromacs", 4.0, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := b.RunStatic("gromacs", 4.0, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ta {
-		if ta[i].Severity.Max != tb[i].Severity.Max ||
-			ta[i].TotalPower != tb[i].TotalPower {
-			t.Fatalf("same-config pipelines diverged at step %d", i)
-		}
 	}
 }
 
@@ -231,9 +154,9 @@ func TestSensorDelayVisibleInSpikyWorkload(t *testing.T) {
 	}
 	run := w.NewRun(1)
 	lagged := 0
+	var r StepResult
 	for i := 0; i < 40; i++ {
-		r, err := p.Step(run, 4.5)
-		if err != nil {
+		if err := p.StepInto(run, 4.5, &r); err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(r.SensorCurrent[DefaultSensorIndex]-r.SensorDelayed[DefaultSensorIndex]) > 0.5 {
@@ -243,22 +166,4 @@ func TestSensorDelayVisibleInSpikyWorkload(t *testing.T) {
 	if lagged == 0 {
 		t.Fatal("delayed sensor never diverged from current reading on a spiky workload")
 	}
-}
-
-func TestPeakSeverityHelper(t *testing.T) {
-	trace := []StepResult{
-		{Severity: hotspotSev(0.3)},
-		{Severity: hotspotSev(0.9)},
-		{Severity: hotspotSev(0.5)},
-	}
-	if PeakSeverity(trace) != 0.9 {
-		t.Fatal("PeakSeverity wrong")
-	}
-	if PeakSeverity(nil) != 0 {
-		t.Fatal("PeakSeverity of empty trace should be 0")
-	}
-}
-
-func hotspotSev(max float64) hotspot.ChipSeverity {
-	return hotspot.ChipSeverity{Max: max}
 }

@@ -1,17 +1,16 @@
-// Package trace provides the streaming telemetry layer of the pipeline:
-// a single drive loop (Drive) that advances a sim.Pipeline step by step
-// and fans each step's telemetry out to composable Observers, plus a
-// columnar struct-of-arrays Trace buffer for consumers that do want the
-// whole run materialized.
+// Package trace is the fixed-schedule drive layer of the pipeline: a
+// single drive loop (Drive) that advances a sim.Pipeline step by step
+// along a frequency schedule and fans each step's telemetry out to
+// composable Observers, plus a columnar struct-of-arrays Trace buffer for
+// consumers that do want the whole run recorded. Static sweeps, dataset
+// builds, frequency walks and trace dumps all run through it; closed
+// loops, where the next frequency depends on a controller's decision,
+// run on engine.ChipStream instead.
 //
-// Before this layer, every consumer — static sweeps, closed-loop runs,
-// dataset builds, experiment grids — materialized a full []sim.StepResult
-// even when it only needed a peak severity or a handful of dataset rows,
-// and Pipeline.Step allocated two fresh sensor slices per 80 us timestep.
-// Drive instead calls Pipeline.StepInto with one reused scratch
-// StepResult, so a streaming run performs no per-step allocation;
-// reductions such as PeakReducer run in O(1) memory regardless of trace
-// length, which compounds across parallel campaign workers.
+// Drive calls Pipeline.StepInto with one reused scratch StepResult, so a
+// run performs no per-step allocation; reductions such as PeakReducer
+// run in O(1) memory regardless of trace length, which compounds across
+// parallel campaign workers.
 //
 // Observer contract: Observe receives a pointer to the drive loop's
 // scratch StepResult. The struct and its sensor slices are only valid for
@@ -74,42 +73,12 @@ func (f ObserverFunc) Observe(step int, r *sim.StepResult) { f(step, r) }
 // End implements Observer.
 func (f ObserverFunc) End() error { return nil }
 
-// Tee fans one observer stream out to several observers, in order. Drive
-// already accepts multiple observers; Tee is for APIs that take exactly
-// one.
-func Tee(obs ...Observer) Observer { return tee(obs) }
-
-type tee []Observer
-
-func (t tee) Begin(meta Meta) {
-	for _, o := range t {
-		o.Begin(meta)
-	}
-}
-
-func (t tee) Observe(step int, r *sim.StepResult) {
-	for _, o := range t {
-		o.Observe(step, r)
-	}
-}
-
-func (t tee) End() error {
-	var first error
-	for _, o := range t {
-		if err := o.End(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Drive warm state is the caller's business: Drive itself performs no
 // Reset/WarmStart, it advances p exactly steps timesteps from wherever
 // it stands, asking freqFn for the operating frequency of each step
-// (freqFn is called before the step executes, so a stateful observer
-// that updates a frequency variable in Observe realizes a closed control
-// loop). Telemetry is fanned out to the observers via one reused scratch
-// StepResult — the loop performs no per-step allocation.
+// before the step executes. Telemetry is fanned out to the observers via
+// one reused scratch StepResult — the loop performs no per-step
+// allocation.
 //
 // On a pipeline error the loop stops and returns the error without
 // calling End. After a completed run every observer's End is called and
@@ -146,12 +115,10 @@ func Drive(p *sim.Pipeline, run *workload.Run, freqFn func(step int) float64, st
 	return first
 }
 
-// RunStatic is the streaming equivalent of sim.Pipeline.RunStatic: it
-// warm-starts the pipeline and drives the named workload at a fixed
-// frequency for the given number of timesteps, fanning the telemetry to
-// the observers instead of materializing a []sim.StepResult. It is
-// bit-identical to the materializing path: same warm start, same run
-// seed, same step sequence.
+// RunStatic warm-starts the pipeline and drives the named workload at a
+// fixed frequency for the given number of timesteps, fanning the
+// telemetry to the observers. The workload run is seeded with the
+// pipeline seed.
 func RunStatic(p *sim.Pipeline, name string, fGHz float64, steps int, obs ...Observer) error {
 	w, err := p.Workloads().ByName(name)
 	if err != nil {
@@ -225,29 +192,6 @@ func (t *Trace) At(step int) sim.StepResult {
 	}
 }
 
-// StepResults materializes the whole trace as the row-oriented
-// []sim.StepResult of the compatibility path. Sensor slices are views
-// into the trace (see At).
-func (t *Trace) StepResults() []sim.StepResult {
-	out := make([]sim.StepResult, t.Len())
-	for i := range out {
-		out[i] = t.At(i)
-	}
-	return out
-}
-
-// PeakSeverity returns the maximum ground-truth severity over the trace,
-// matching sim.PeakSeverity on the equivalent []StepResult.
-func (t *Trace) PeakSeverity() float64 {
-	peak := 0.0
-	for _, s := range t.Severities {
-		if s.Max > peak {
-			peak = s.Max
-		}
-	}
-	return peak
-}
-
 // Recorder is an Observer that fills a columnar Trace. Begin resets the
 // buffer (lengths to zero, capacities kept), so one Recorder can be
 // reused across runs; T is valid after the drive completes.
@@ -305,7 +249,7 @@ type PeakReducer struct {
 	// Steps is the number of observed timesteps.
 	Steps int
 	// PeakSeverity is the maximum ground-truth severity (0 if the run
-	// never exceeds 0, matching sim.PeakSeverity).
+	// never exceeds 0).
 	PeakSeverity float64
 	// PeakTemp is the hottest cell temperature seen.
 	PeakTemp float64

@@ -11,51 +11,67 @@ import (
 	"github.com/hotgauge/boreas/internal/workload"
 )
 
-// TestRecorderMatchesMaterializedRunStatic is the core golden test of the
-// layer: the streamed Recorder must reproduce the materializing
-// Pipeline.RunStatic bit for bit.
-func TestRecorderMatchesMaterializedRunStatic(t *testing.T) {
+func testConfig() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
 	cfg.WarmStartProbeSteps = 5
+	return cfg
+}
+
+// materialize is the reference the streamed observers are held to: the
+// same warm-started static run as trace.RunStatic, stepped by hand with
+// a fresh StepResult (and so fresh sensor slices) per step.
+func materialize(t *testing.T, cfg sim.Config, name string, fGHz float64, steps int) []sim.StepResult {
+	t.Helper()
+	p, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := p.Workloads().ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WarmStart(w, fGHz); err != nil {
+		t.Fatal(err)
+	}
+	run := w.NewRun(cfg.Seed)
+	out := make([]sim.StepResult, steps)
+	for i := range out {
+		if err := p.StepInto(run, fGHz, &out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestRecorderMatchesMaterializedRunStatic is the core golden test of the
+// layer: the streamed Recorder must reproduce a hand-stepped run bit for
+// bit, although Drive reuses one scratch StepResult for every step.
+func TestRecorderMatchesMaterializedRunStatic(t *testing.T) {
+	cfg := testConfig()
 	const (
 		name  = "gromacs"
 		fGHz  = 4.25
 		steps = 40
 	)
+	want := materialize(t, cfg, name, fGHz, steps)
 
-	p1, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p1.RunStatic(name, fGHz, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p2, err := sim.New(cfg)
+	p, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rec trace.Recorder
-	if err := trace.RunStatic(p2, name, fGHz, steps, &rec); err != nil {
+	if err := trace.RunStatic(p, name, fGHz, steps, &rec); err != nil {
 		t.Fatal(err)
 	}
 
 	if rec.T.Len() != steps {
 		t.Fatalf("recorded %d steps, want %d", rec.T.Len(), steps)
 	}
-	got := rec.T.StepResults()
-	if !reflect.DeepEqual(got, want) {
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("step %d diverges:\n got %+v\nwant %+v", i, got[i], want[i])
-			}
+	for i := range want {
+		if got := rec.T.At(i); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("step %d diverges:\n got %+v\nwant %+v", i, got, want[i])
 		}
-		t.Fatal("traces differ")
-	}
-	if got, want := rec.T.PeakSeverity(), sim.PeakSeverity(want); got != want {
-		t.Fatalf("Trace.PeakSeverity = %v, sim.PeakSeverity = %v", got, want)
 	}
 	if rec.T.Workload != name {
 		t.Fatalf("trace workload %q, want %q", rec.T.Workload, name)
@@ -65,43 +81,34 @@ func TestRecorderMatchesMaterializedRunStatic(t *testing.T) {
 // TestPeakReducerMatchesMaterialized checks every reduction against the
 // trace-walking reference.
 func TestPeakReducerMatchesMaterialized(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
-	cfg.WarmStartProbeSteps = 5
+	cfg := testConfig()
 	const steps = 40
+	ref := materialize(t, cfg, "gamess", 4.5, steps)
 
-	p1, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := p1.RunStatic("gamess", 4.5, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p2, err := sim.New(cfg)
+	p, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pr trace.PeakReducer
-	if err := trace.RunStatic(p2, "gamess", 4.5, steps, &pr); err != nil {
+	if err := trace.RunStatic(p, "gamess", 4.5, steps, &pr); err != nil {
 		t.Fatal(err)
 	}
 
 	if pr.Steps != steps {
 		t.Fatalf("reducer saw %d steps, want %d", pr.Steps, steps)
 	}
-	if want := sim.PeakSeverity(ref); pr.PeakSeverity != want {
-		t.Fatalf("PeakSeverity %v, want %v", pr.PeakSeverity, want)
-	}
-	wantTemp, wantMLTD, wantEnergy, wantInc := 0.0, 0.0, 0.0, 0
+	wantSev, wantTemp, wantMLTD, wantEnergy, wantInc := 0.0, 0.0, 0.0, 0.0, 0
 	for _, r := range ref {
+		wantSev = math.Max(wantSev, r.Severity.Max)
 		wantTemp = math.Max(wantTemp, r.Severity.MaxTemp)
 		wantMLTD = math.Max(wantMLTD, r.Severity.MaxMLTD)
 		wantEnergy += r.TotalPower * cfg.TimestepSec
 		if r.Severity.Max >= 1.0 {
 			wantInc++
 		}
+	}
+	if pr.PeakSeverity != wantSev {
+		t.Fatalf("PeakSeverity %v, want %v", pr.PeakSeverity, wantSev)
 	}
 	if pr.PeakTemp != wantTemp {
 		t.Fatalf("PeakTemp %v, want %v", pr.PeakTemp, wantTemp)
@@ -121,9 +128,7 @@ func TestPeakReducerMatchesMaterialized(t *testing.T) {
 // same observer twice must leave it in the single-run state, not an
 // accumulated one.
 func TestObserversAreReusable(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
-	cfg.WarmStartProbeSteps = 5
+	cfg := testConfig()
 	const steps = 20
 
 	p, err := sim.New(cfg)
@@ -155,28 +160,23 @@ func TestObserversAreReusable(t *testing.T) {
 	}
 }
 
-// TestTeeAndObserverFunc exercises composition: a Tee must forward
-// Begin/Observe/End to every child in order.
-func TestTeeAndObserverFunc(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
-	cfg.WarmStartProbeSteps = 5
+// TestObserverFunc: a plain function adapted to an Observer sees every
+// step, alongside other observers of the same drive.
+func TestObserverFunc(t *testing.T) {
 	const steps = 10
-
-	p, err := sim.New(cfg)
+	p, err := sim.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	countA, countB := 0, 0
-	obs := trace.Tee(
+	if err := trace.RunStatic(p, "mcf", 3.5, steps,
 		trace.ObserverFunc(func(step int, r *sim.StepResult) { countA++ }),
 		trace.ObserverFunc(func(step int, r *sim.StepResult) { countB++ }),
-	)
-	if err := trace.RunStatic(p, "mcf", 3.5, steps, obs); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
 	if countA != steps || countB != steps {
-		t.Fatalf("tee children saw %d/%d steps, want %d", countA, countB, steps)
+		t.Fatalf("observers saw %d/%d steps, want %d", countA, countB, steps)
 	}
 }
 
@@ -189,9 +189,7 @@ func (o *endErrObserver) End() error                   { return o.err }
 // TestDriveSurfacesEndError: the first observer End error must reach the
 // caller.
 func TestDriveSurfacesEndError(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
-	cfg.WarmStartProbeSteps = 5
+	cfg := testConfig()
 
 	p, err := sim.New(cfg)
 	if err != nil {
@@ -207,9 +205,7 @@ func TestDriveSurfacesEndError(t *testing.T) {
 // TestDriveRejectsBadSteps: non-positive step counts are an error before
 // any observer is touched.
 func TestDriveRejectsBadSteps(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
-	cfg.WarmStartProbeSteps = 5
+	cfg := testConfig()
 	p, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -230,9 +226,7 @@ func TestDriveRejectsBadSteps(t *testing.T) {
 // TestDriveMetaAndFreqFn: Meta carries the run coordinates and freqFn is
 // consulted per step (a frequency schedule realized by the drive loop).
 func TestDriveMetaAndFreqFn(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
-	cfg.WarmStartProbeSteps = 5
+	cfg := testConfig()
 	const steps = 8
 
 	p, err := sim.New(cfg)
@@ -253,7 +247,7 @@ func TestDriveMetaAndFreqFn(t *testing.T) {
 	schedule := []float64{3.5, 3.5, 3.75, 3.75, 4.0, 4.0, 3.5, 3.5}
 	err = trace.Drive(p, run, func(step int) float64 { return schedule[step] }, steps,
 		trace.ObserverFunc(func(step int, r *sim.StepResult) {}),
-		trace.Tee(&rec, observeMeta(&meta)))
+		&rec, observeMeta(&meta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +275,7 @@ func (m *metaCapture) End() error                   { return nil }
 // TestTraceViews pins the columnar accessors: At and the sensor views
 // must agree with the flat matrices.
 func TestTraceViews(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Thermal.NX, cfg.Thermal.NY = 24, 18
-	cfg.WarmStartProbeSteps = 5
+	cfg := testConfig()
 	const steps = 6
 
 	p, err := sim.New(cfg)
