@@ -22,6 +22,28 @@ import (
 // requests to drain before closing their connections.
 const shutdownGrace = 10 * time.Second
 
+// Connection bounds of the daemon's HTTP server: a client that trickles
+// its headers or body, or parks an idle keep-alive connection, cannot
+// hold a connection and its goroutine open indefinitely. readTimeout
+// leaves room for a serve.MaxBodyBytes batch on a slow link. There is no
+// write timeout, so a 30 s /debug/pprof/profile capture still completes.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newDaemonServer wraps the decision handler in the daemon's bounded
+// http.Server.
+func newDaemonServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runServe is the `boreas serve` subcommand: a long-running HTTP/JSON
 // decision daemon over a per-chip session registry.
 //
@@ -89,7 +111,7 @@ func runServe(args []string) {
 	ctx, stop := ck.Context()
 	defer stop()
 
-	srv := &http.Server{Handler: serve.NewHandler(reg)}
+	srv := newDaemonServer(serve.NewHandler(reg))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -234,4 +235,49 @@ func TestServeRejectsBadPayloadEndToEnd(t *testing.T) {
 	}
 	cmd.Process.Signal(syscall.SIGTERM)
 	cmd.Wait()
+}
+
+// TestDaemonServerBounds pins the connection bounds of the daemon's
+// http.Server, and drives the header bound end to end: a client that
+// never finishes its request headers is cut off.
+func TestDaemonServerBounds(t *testing.T) {
+	srv := newDaemonServer(http.NotFoundHandler())
+	for _, tc := range []struct {
+		name string
+		got  time.Duration
+	}{
+		{"ReadHeaderTimeout", srv.ReadHeaderTimeout},
+		{"ReadTimeout", srv.ReadTimeout},
+		{"IdleTimeout", srv.IdleTimeout},
+	} {
+		if tc.got <= 0 {
+			t.Errorf("%s = %v, want a positive bound", tc.name, tc.got)
+		}
+	}
+	if testing.Short() {
+		t.Skip("waits out the header timeout")
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/decide HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with unfinished headers was not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
 }

@@ -5,13 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/hotgauge/boreas/internal/checkpoint"
 	"github.com/hotgauge/boreas/internal/checkpoint/chaostest"
+	"github.com/hotgauge/boreas/internal/control"
 )
 
 // chaosConfig is a deliberately tiny campaign: two training workloads,
@@ -219,5 +222,57 @@ func TestMismatchedCheckpointRejected(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("mismatch error %q does not mention %q", err, want)
 		}
+	}
+}
+
+// TestCritTempsCellDecodesPreviousEncoding pins checkpoint compatibility
+// for the threshold-table cell: bytes written by the cell's former
+// dedicated encoder (string-encoded keys and values, +Inf spelled out,
+// both maps always present) decode to the same table through
+// control.CriticalTemps' own JSON codec, and that codec writes the same
+// bytes back, so existing checkpoints resume.
+func TestCritTempsCellDecodesPreviousEncoding(t *testing.T) {
+	cases := []struct {
+		name string
+		old  string
+		want *control.CriticalTemps
+	}{
+		{
+			name: "populated",
+			old:  `{"per_workload":{"gromacs":{"3":"+Inf","3.75":"84.125"},"mcf":{"3":"91.5","3.75":"80.0625"}},"global":{"3":"91.5","3.75":"80.0625"}}`,
+			want: &control.CriticalTemps{
+				PerWorkload: map[string]map[float64]float64{
+					"gromacs": {3: math.Inf(1), 3.75: 84.125},
+					"mcf":     {3: 91.5, 3.75: 80.0625},
+				},
+				Global: map[float64]float64{3: 91.5, 3.75: 80.0625},
+			},
+		},
+		{
+			name: "empty",
+			old:  `{"per_workload":{},"global":{}}`,
+			want: &control.CriticalTemps{PerWorkload: map[string]map[float64]float64{}, Global: map[float64]float64{}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := jsonDec[*control.CriticalTemps]([]byte(tc.old))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("decoded %+v, want %+v", got, tc.want)
+			}
+			if len(tc.want.Global) == 0 {
+				return // the codec omits empty maps; only populated tables re-encode identically
+			}
+			data, err := jsonEnc(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data) != tc.old {
+				t.Fatalf("re-encoded cell differs:\n got %s\nwant %s", data, tc.old)
+			}
+		})
 	}
 }

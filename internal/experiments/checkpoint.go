@@ -78,9 +78,11 @@ func labCell[T any](l *Lab, kind string, coords []string,
 	return v, nil
 }
 
-// jsonCodec builds the encode/decode pair for plain-JSON cells (types
-// whose float64 fields are always finite: Go's JSON encoding of float64
-// is exact, so these cells round-trip bit-identically).
+// jsonEnc and jsonDec are the codec pair for plain-JSON cells: types
+// whose float64 fields are always finite (Go's JSON encoding of float64
+// is exact, so these cells round-trip bit-identically), or that carry
+// their own exact JSON codec, as control.CriticalTemps does for its +Inf
+// thresholds.
 func jsonEnc[T any](v T) ([]byte, error) { return json.Marshal(v) }
 func jsonDec[T any](data []byte) (T, error) {
 	var v T
@@ -148,67 +150,6 @@ func decodeOracle(data []byte) (*control.OracleTable, error) {
 			m[f] = sev
 		}
 		t.Peak[w] = m
-	}
-	return t, nil
-}
-
-// critTempsCell mirrors control.CriticalTemps. Threshold values are
-// string-encoded because "no incursion at any temperature" is +Inf,
-// which JSON cannot represent as a number.
-type critTempsCell struct {
-	PerWorkload map[string]map[string]string `json:"per_workload"`
-	Global      map[string]string            `json:"global"`
-}
-
-func encodeCritTemps(t *control.CriticalTemps) ([]byte, error) {
-	cell := critTempsCell{PerWorkload: map[string]map[string]string{}, Global: map[string]string{}}
-	for w, row := range t.PerWorkload {
-		m := map[string]string{}
-		for f, temp := range row {
-			m[floatKey(f)] = floatKey(temp)
-		}
-		cell.PerWorkload[w] = m
-	}
-	for f, temp := range t.Global {
-		cell.Global[floatKey(f)] = floatKey(temp)
-	}
-	return json.Marshal(cell)
-}
-
-func decodeCritTemps(data []byte) (*control.CriticalTemps, error) {
-	var cell critTempsCell
-	if err := json.Unmarshal(data, &cell); err != nil {
-		return nil, err
-	}
-	t := &control.CriticalTemps{
-		PerWorkload: make(map[string]map[float64]float64, len(cell.PerWorkload)),
-		Global:      make(map[float64]float64, len(cell.Global)),
-	}
-	for w, row := range cell.PerWorkload {
-		m := make(map[float64]float64, len(row))
-		for fs, temps := range row {
-			f, err := parseFloatKey(fs)
-			if err != nil {
-				return nil, err
-			}
-			temp, err := parseFloatKey(temps)
-			if err != nil {
-				return nil, err
-			}
-			m[f] = temp
-		}
-		t.PerWorkload[w] = m
-	}
-	for fs, temps := range cell.Global {
-		f, err := parseFloatKey(fs)
-		if err != nil {
-			return nil, err
-		}
-		temp, err := parseFloatKey(temps)
-		if err != nil {
-			return nil, err
-		}
-		t.Global[f] = temp
 	}
 	return t, nil
 }

@@ -220,7 +220,7 @@ func (l *Lab) Oracle() (*control.OracleTable, error) {
 // CriticalTemps lazily builds the training-set threshold table.
 func (l *Lab) CriticalTemps() (*control.CriticalTemps, error) {
 	return l.critTemps.get(func() (*control.CriticalTemps, error) {
-		return labCell(l, "critical-temps", []string{"crittemps"}, encodeCritTemps, decodeCritTemps,
+		return labCell(l, "critical-temps", []string{"crittemps"}, jsonEnc[*control.CriticalTemps], jsonDec[*control.CriticalTemps],
 			func() (*control.CriticalTemps, error) {
 				return engine.BuildCriticalTempsContext(l.ctx, l.pipeline, l.cfg.TrainNames,
 					l.cfg.Frequencies, l.cfg.StepsPerRun, l.cfg.SensorIndex, l.cfg.Workers)

@@ -121,7 +121,8 @@ func (h *HDRHistogram) Snapshot() HDRSnapshot {
 
 // HDRSnapshot is the point-in-time state of an HDRHistogram: a plain
 // mergeable value. The bucket array is an implementation-defined dense
-// layout — render it through Quantile/Summary rather than directly.
+// layout — render it through Quantile/Summary/Buckets rather than
+// directly.
 type HDRSnapshot struct {
 	Counts   []uint64
 	Overflow uint64

@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the serving stack: atomic
-// request/decision counters, a fixed-bucket latency histogram, and a
+// request/decision counters, a log-linear (HDR) latency histogram, and a
 // JSON-safe Snapshot that both the HTTP /metrics endpoint and the
 // fleet/experiment CLIs render.
 //
@@ -13,16 +13,16 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// DefaultLatencyBounds are the histogram bucket upper bounds in seconds
-// (1 us to 1 s, roughly 1-2.5-5 per decade). The final implicit bucket
-// is +Inf; keeping the explicit bounds finite keeps every Snapshot
-// field representable in JSON.
+// DefaultLatencyBounds are the bucket upper bounds in seconds that a
+// Snapshot folds the decide-latency histogram into (1 us to 1 s, roughly
+// 1-2.5-5 per decade). The final implicit bucket is +Inf; keeping the
+// explicit bounds finite keeps every Snapshot field representable in
+// JSON.
 func DefaultLatencyBounds() []float64 {
 	return []float64{
 		1e-6, 2.5e-6, 5e-6,
@@ -35,87 +35,51 @@ func DefaultLatencyBounds() []float64 {
 	}
 }
 
-// Histogram is a fixed-bucket latency histogram with atomic counters.
-// The zero value is unusable; build one with NewHistogram. Observe is
-// lock-free and allocation-free.
-type Histogram struct {
-	// bounds are the finite bucket upper bounds, ascending. counts has
-	// len(bounds)+1 entries; the last one is the +Inf overflow bucket.
-	bounds []float64
-	counts []atomic.Uint64
-	count  atomic.Uint64
-	// sumNanos accumulates total observed time in integer nanoseconds,
-	// so concurrent adds stay exact without a float CAS loop.
-	sumNanos atomic.Int64
-}
-
-// NewHistogram builds a histogram over the given ascending bucket
-// bounds in seconds (nil: DefaultLatencyBounds).
-func NewHistogram(boundsSeconds []float64) *Histogram {
-	if len(boundsSeconds) == 0 {
-		boundsSeconds = DefaultLatencyBounds()
-	}
-	bounds := append([]float64(nil), boundsSeconds...)
-	if !sort.Float64sAreSorted(bounds) {
-		panic("obs: histogram bounds must be ascending")
-	}
-	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	secs := d.Seconds()
-	// Binary search inlined to stay allocation-free (sort.SearchFloat64s
-	// takes the slice by interface in older toolchains; this is also the
-	// hot path of every served decision).
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < secs {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo].Add(1)
-	h.count.Add(1)
-	h.sumNanos.Add(int64(d))
-}
-
-// HistogramSnapshot is the JSON-safe point-in-time state of a Histogram:
-// the bounds are finite (the +Inf overflow bucket is implicit as the
-// final count), so encoding/json accepts every field.
+// HistogramSnapshot is the JSON-safe fixed-bucket view of an
+// HDRHistogram that /metrics renders: the bounds are finite (the +Inf
+// overflow bucket is implicit as the final count), so encoding/json
+// accepts every field.
 type HistogramSnapshot struct {
 	// BoundsSeconds are the finite bucket upper bounds.
 	BoundsSeconds []float64 `json:"bounds_seconds"`
-	// Counts[i] is the number of observations <= BoundsSeconds[i]; the
-	// final extra entry counts observations above every bound.
+	// Counts[i] is the number of observations in bucket i under the
+	// Buckets rule; the final extra entry counts those above every bound.
 	Counts []uint64 `json:"counts"`
-	// Count is the total number of observations.
+	// Count is the total number of observations, exactly.
 	Count uint64 `json:"count"`
-	// SumSeconds is the total observed time.
+	// SumSeconds is the total observed time, exactly.
 	SumSeconds float64 `json:"sum_seconds"`
 }
 
-// Snapshot captures the histogram state. Under concurrent Observe
-// traffic the bucket counts are each individually exact but may not sum
-// to a single instant's Count; metrics scrapes tolerate that by design.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		BoundsSeconds: append([]float64(nil), h.bounds...),
-		Counts:        make([]uint64, len(h.counts)),
-		Count:         h.count.Load(),
-		SumSeconds:    time.Duration(h.sumNanos.Load()).Seconds(),
+// Buckets folds an HDR snapshot into fixed buckets over the given
+// ascending bounds in seconds. A slot counts toward bound b when its
+// highest value is at most b, so an observation moves up at most one
+// bucket, and only when it lies within one sub-bucket (<=1.6%) of a
+// bound. Count, SumSeconds and the cumulative +Inf total stay exact.
+func (s HDRSnapshot) Buckets(boundsSeconds []float64) HistogramSnapshot {
+	out := HistogramSnapshot{
+		BoundsSeconds: append([]float64(nil), boundsSeconds...),
+		Counts:        make([]uint64, len(boundsSeconds)+1),
+		Count:         s.Count,
+		SumSeconds:    time.Duration(s.SumNanos).Seconds(),
 	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+	b := 0
+	for i, c := range s.Counts {
+		if c == 0 {
+			continue
+		}
+		for b < len(boundsSeconds) && time.Duration(hdrValueAt(i)).Seconds() > boundsSeconds[b] {
+			b++
+		}
+		out.Counts[b] += c
 	}
-	return s
+	out.Counts[len(boundsSeconds)] += s.Overflow
+	return out
 }
 
 // Metrics is the serving layer's counter set. All fields are safe for
-// concurrent use; the zero value needs Init (or NewMetrics) to size the
-// latency histogram.
+// concurrent use; the zero value records no latency (NewMetrics adds the
+// histogram).
 type Metrics struct {
 	// Requests counts HTTP requests accepted by the decision service;
 	// BadRequests counts the subset rejected as malformed (4xx).
@@ -130,12 +94,12 @@ type Metrics struct {
 	SessionsCreated, EvictedIdle, EvictedLRU atomic.Uint64
 
 	// DecideLatency is the per-decision service time distribution.
-	DecideLatency *Histogram
+	DecideLatency *HDRHistogram
 }
 
-// NewMetrics returns a Metrics with the default latency buckets.
+// NewMetrics returns a Metrics with a decide-latency histogram.
 func NewMetrics() *Metrics {
-	return &Metrics{DecideLatency: NewHistogram(nil)}
+	return &Metrics{DecideLatency: NewHDRHistogram()}
 }
 
 // RecordDecision folds one decision into the counters: prev and next
@@ -156,7 +120,7 @@ func (m *Metrics) RecordDecision(prev, next float64, clamped bool, d time.Durati
 		m.Clamps.Add(1)
 	}
 	if m.DecideLatency != nil {
-		m.DecideLatency.Observe(d)
+		m.DecideLatency.Record(d)
 	}
 }
 
@@ -208,7 +172,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		EvictedLRU:      m.EvictedLRU.Load(),
 	}
 	if m.DecideLatency != nil {
-		s.DecideLatency = m.DecideLatency.Snapshot()
+		s.DecideLatency = m.DecideLatency.Snapshot().Buckets(DefaultLatencyBounds())
 	}
 	return s
 }

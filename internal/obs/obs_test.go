@@ -9,34 +9,74 @@ import (
 	"time"
 )
 
+// TestHistogramBuckets pins the fixed-bucket rendering rule of the HDR
+// histogram: a slot counts toward bound b only when its highest value
+// is at most b. An observation exactly on a bound whose slot straddles
+// it therefore moves up one bucket; one that sits a sub-bucket below
+// stays.
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{1e-6, 1e-3, 1})
-	h.Observe(500 * time.Nanosecond) // <= 1us
-	h.Observe(1 * time.Microsecond)  // boundary: <= 1us
-	h.Observe(2 * time.Microsecond)  // <= 1ms
-	h.Observe(time.Millisecond)      // boundary: <= 1ms
-	h.Observe(2 * time.Millisecond)  // <= 1s
-	h.Observe(2 * time.Second)       // overflow
+	h := NewHDRHistogram()
+	h.Record(500 * time.Nanosecond) // <= 1us
+	h.Record(992 * time.Nanosecond) // slot [992, 999]: <= 1us
+	h.Record(1 * time.Microsecond)  // slot [1000, 1007] straddles 1us: <= 1ms
+	h.Record(2 * time.Microsecond)  // <= 1ms
+	h.Record(time.Millisecond)      // slot [999424, 1007615] straddles 1ms: <= 1s
+	h.Record(2 * time.Millisecond)  // <= 1s
+	h.Record(2 * time.Second)       // above every bound: +Inf
 
-	s := h.Snapshot()
-	want := []uint64{2, 2, 1, 1}
+	s := h.Snapshot().Buckets([]float64{1e-6, 1e-3, 1})
+	want := []uint64{2, 2, 2, 1}
 	for i, w := range want {
 		if s.Counts[i] != w {
 			t.Errorf("bucket %d = %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
 		}
 	}
-	if s.Count != 6 {
-		t.Errorf("count = %d, want 6", s.Count)
+	if s.Count != 7 {
+		t.Errorf("count = %d, want 7", s.Count)
 	}
-	wantSum := (500*time.Nanosecond + time.Microsecond + 2*time.Microsecond +
+	wantSum := (500*time.Nanosecond + 992*time.Nanosecond + time.Microsecond + 2*time.Microsecond +
 		time.Millisecond + 2*time.Millisecond + 2*time.Second).Seconds()
 	if s.SumSeconds != wantSum {
 		t.Errorf("sum = %v, want %v", s.SumSeconds, wantSum)
 	}
 }
 
+// TestHistogramBucketsAtMostOneUp checks the documented error bound of
+// the rendering rule against the exact bucket of every observation: the
+// rendered bucket is the exact one or the next, and the next only within
+// one sub-bucket (1/64) of the exact bucket's bound.
+func TestHistogramBucketsAtMostOneUp(t *testing.T) {
+	bounds := DefaultLatencyBounds()
+	exact := func(d time.Duration) int {
+		for i, b := range bounds {
+			if d.Seconds() <= b {
+				return i
+			}
+		}
+		return len(bounds)
+	}
+	for v := time.Duration(1); v < 3*time.Second; v += v/97 + 1 {
+		h := NewHDRHistogram()
+		h.Record(v)
+		counts := h.Snapshot().Buckets(bounds).Counts
+		got := -1
+		for i, c := range counts {
+			if c == 1 {
+				got = i
+			}
+		}
+		want := exact(v)
+		switch {
+		case got == want:
+		case got == want+1 && v.Seconds() > bounds[want]*(1-1.0/hdrSub):
+		default:
+			t.Fatalf("%v rendered into bucket %d, exact bucket %d (counts %v)", v, got, want, counts)
+		}
+	}
+}
+
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHDRHistogram()
 	const goroutines, per = 8, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -44,12 +84,12 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				h.Observe(time.Duration(g*per+i) * time.Microsecond)
+				h.Record(time.Duration(g*per+i) * time.Microsecond)
 			}
 		}(g)
 	}
 	wg.Wait()
-	s := h.Snapshot()
+	s := h.Snapshot().Buckets(DefaultLatencyBounds())
 	if s.Count != goroutines*per {
 		t.Fatalf("count = %d, want %d", s.Count, goroutines*per)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -14,6 +15,16 @@ import (
 
 // MaxBatch bounds the number of observations in one /v1/decide request.
 const MaxBatch = 4096
+
+// MaxChipIDBytes bounds a chip ID. The registry keeps one key per live
+// chip, so an unbounded ID would be unbounded memory a client controls.
+const MaxChipIDBytes = 256
+
+// MaxBodyBytes bounds a /v1/decide request body (413 beyond it). It fits
+// a MaxBatch batch of fully populated observations - MaxChipIDBytes chip
+// IDs, every counter at its longest JSON rendering - indented with two
+// spaces per level (about 13.6 MB).
+const MaxBodyBytes = 16 << 20
 
 // MetricsPrefix is the metric-name prefix on /metrics.
 const MetricsPrefix = "boreas"
@@ -77,8 +88,9 @@ type errorResponse struct {
 // Batched requests decide chip by chip in request order; every
 // prediction runs on the session controller's compiled flat-tree
 // kernel, so one HTTP round trip amortises across the whole batch.
-// Malformed or non-finite payloads are rejected with 400 — the handler
-// never panics and never converts bad input into a 500.
+// Malformed or non-finite payloads and over-long chip IDs are rejected
+// with 400, bodies over MaxBodyBytes with 413 — the handler never panics
+// and never converts bad input into a 500.
 func NewHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/decide", func(w http.ResponseWriter, r *http.Request) {
@@ -140,9 +152,16 @@ func recoverMiddleware(next http.Handler) http.Handler {
 func handleDecide(reg *Registry, w http.ResponseWriter, r *http.Request) {
 	reg.metrics.Requests.Add(1)
 	var req DecideRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			reg.metrics.BadRequests.Add(1)
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorResponse{fmt.Sprintf("request body exceeds the %d-byte limit", MaxBodyBytes)})
+			return
+		}
 		badRequest(reg, w, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
@@ -191,11 +210,14 @@ func handleDecide(reg *Registry, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// checkItem validates one wire observation: a chip ID and finite
-// numbers throughout.
+// checkItem validates one wire observation: a chip ID of bounded length
+// and finite numbers throughout.
 func checkItem(chip string, o Observation) error {
 	if chip == "" {
 		return fmt.Errorf("empty chip ID")
+	}
+	if len(chip) > MaxChipIDBytes {
+		return fmt.Errorf("chip ID of %d bytes exceeds the %d-byte limit", len(chip), MaxChipIDBytes)
 	}
 	if err := checkFinite(o); err != nil {
 		return fmt.Errorf("chip %s: %w", chip, err)

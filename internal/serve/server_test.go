@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,6 +99,7 @@ func TestHandleDecideBatch(t *testing.T) {
 // float64; NaN/Infinity are not JSON at all).
 func TestHandleDecideBadPayloads(t *testing.T) {
 	reg, srv := newTestServer(t)
+	longChip := strings.Repeat("x", MaxChipIDBytes+1)
 	cases := []struct {
 		name string
 		body string
@@ -117,12 +119,19 @@ func TestHandleDecideBadPayloads(t *testing.T) {
 		{"batch with empty chip", `{"batch":[{"chip":"","observation":{"sensor_temp":55}}]}`},
 		{"batch mixed with single", `{"chip":"c0","observation":{"sensor_temp":55},"batch":[{"chip":"b","observation":{"sensor_temp":55}}]}`},
 		{"batch good then empty chip", `{"batch":[{"chip":"a","observation":{"sensor_temp":55}},{"chip":"","observation":{"sensor_temp":55}}]}`},
+		{"chip ID over the cap", `{"chip":"` + longChip + `","observation":{"sensor_temp":55}}`},
+		{"batch good then chip ID over the cap", `{"batch":[{"chip":"a","observation":{"sensor_temp":55}},{"chip":"` + longChip + `","observation":{"sensor_temp":55}}]}`},
+		{"body one byte over the limit", string(padBody(worstCaseBatch(t, MaxBatch), MaxBodyBytes+1))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			want := http.StatusBadRequest
+			if len(tc.body) > MaxBodyBytes {
+				want = http.StatusRequestEntityTooLarge
+			}
 			resp, body := postDecide(t, srv, tc.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400; body %s", resp.StatusCode, body)
+			if resp.StatusCode != want {
+				t.Fatalf("status %d, want %d; body %.200s", resp.StatusCode, want, body)
 			}
 			var e errorResponse
 			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
@@ -140,6 +149,61 @@ func TestHandleDecideBadPayloads(t *testing.T) {
 	}
 	if snap := reg.Snapshot(); snap.BadRequests != uint64(len(cases)) {
 		t.Fatalf("BadRequests = %d, want %d", snap.BadRequests, len(cases))
+	}
+}
+
+// worstCaseBatch renders an n-item decide request at its largest legal
+// size: MaxChipIDBytes chip IDs and every number at the longest JSON
+// rendering a float64 has, indented two spaces per level.
+func worstCaseBatch(t *testing.T, n int) []byte {
+	t.Helper()
+	const longest = -1.2345678901234567e-06 // renders as -0.0000012345678901234567
+	obs := Observation{SensorTemp: longest}
+	v := reflect.ValueOf(&obs.Counters).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetFloat(longest)
+	}
+	req := DecideRequest{Batch: make([]DecideItem, n)}
+	for i := range req.Batch {
+		chip := fmt.Sprintf("%0*d", MaxChipIDBytes, i)
+		req.Batch[i] = DecideItem{Chip: chip, Observation: obs}
+	}
+	data, err := json.MarshalIndent(req, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// padBody pads a JSON object with whitespace before its closing brace to
+// exactly size bytes, so the decoder must read every byte of it.
+func padBody(body []byte, size int) []byte {
+	out := make([]byte, 0, size)
+	out = append(out, body[:len(body)-1]...)
+	for len(out) < size-1 {
+		out = append(out, ' ')
+	}
+	return append(out, '}')
+}
+
+// TestHandleDecideMaxBodyFits pins the other side of the body limit: the
+// largest legal batch, padded to exactly MaxBodyBytes, is decided in
+// full.
+func TestHandleDecideMaxBodyFits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decides a full MaxBatch batch")
+	}
+	reg, srv := newTestServer(t)
+	body := worstCaseBatch(t, MaxBatch)
+	if len(body) > MaxBodyBytes {
+		t.Fatalf("a worst-case MaxBatch batch is %d bytes, over MaxBodyBytes %d", len(body), MaxBodyBytes)
+	}
+	resp, out := postDecide(t, srv, string(padBody(body, MaxBodyBytes)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200; body %.200s", resp.StatusCode, out)
+	}
+	if d := reg.Snapshot().Decisions; d != MaxBatch {
+		t.Fatalf("decided %d observations, want %d", d, MaxBatch)
 	}
 }
 
