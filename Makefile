@@ -12,7 +12,7 @@ GO ?= go
 GOFMT ?= gofmt
 SCENARIO := examples/platforms/mobile-7nm.json
 
-.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke perfbench-check ci bench bench-parallel bench-trace bench-gbt bench-engine bench-serve bench-loadtest loc clean
+.PHONY: all fmt-check build vet test race fuzz-smoke bench-trace-smoke bench-gbt-smoke bench-engine-smoke smoke soak-smoke serve-smoke loadtest-smoke perfbench-check ci bench bench-parallel bench-trace bench-engine bench-serve bench-loadtest loc clean
 
 all: build
 
@@ -48,8 +48,8 @@ fuzz-smoke:
 bench-trace-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkRunStaticTrace -benchtime=1x -benchmem .
 
-# One-iteration smoke of the trainer benchmark: exercises both the exact
-# and histogram-binned split searches end to end.
+# One-iteration smoke of the trainer benchmark: exercises exact-greedy
+# training end to end.
 bench-gbt-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkTrain$$' -benchtime=1x .
 
@@ -139,11 +139,6 @@ bench-parallel:
 # Refresh BENCH_trace.json (a streamed static run into a PeakReducer).
 bench-trace:
 	BENCH_TRACE=1 $(GO) test -run TestWriteBenchTraceArtefact -v .
-
-# Refresh BENCH_gbt.json (exact vs histogram-binned GBT training on the
-# full telemetry dataset).
-bench-gbt:
-	BENCH_GBT=1 $(GO) test -run TestWriteBenchGBTArtefact -timeout 60m -v .
 
 # Refresh BENCH_engine.json (compiled flat-tree inference vs the pointer
 # walk, the zero-alloc Session.Decide path, and fleet scaling).

@@ -12,7 +12,6 @@
 package boreas_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -699,12 +698,11 @@ func TestWriteBenchTraceArtefact(t *testing.T) {
 		streaming.AllocsPerOp(), streaming.AllocedBytesPerOp(), streaming.NsPerOp())
 }
 
-// ---- GBT trainer benches (exact vs histogram-binned split search) ----
+// ---- GBT trainer bench ----
 
-// gbtBenchData lazily builds the moderate telemetry dataset shared by the
-// trainer benches: big enough that the split search dominates, small
-// enough that the one-shot ci smoke stays fast. The full-scale numbers
-// live in BENCH_gbt.json (TestWriteBenchGBTArtefact).
+// gbtBenchData lazily builds the moderate telemetry dataset for the
+// trainer bench: big enough that the split search dominates, small
+// enough that the one-shot ci smoke stays fast.
 var (
 	gbtBenchOnce sync.Once
 	gbtBenchDS   *telemetry.Dataset
@@ -729,125 +727,20 @@ func gbtBenchData(tb testing.TB) *telemetry.Dataset {
 	return gbtBenchDS
 }
 
-// BenchmarkTrain compares the exact split scanner against the
-// histogram-binned fast path on the same Table IV training matrix. The
-// two methods search different split spaces, so the models differ
-// slightly (bounded by TestHistMatchesExactWithinTolerance); each is
-// bit-identical at any -j.
+// BenchmarkTrain times the exact split search on the Table IV training
+// matrix (60 trees at -j 4).
 func BenchmarkTrain(b *testing.B) {
 	sel, err := gbtBenchData(b).Select(telemetry.TableIVFeatureNames())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, method := range []string{gbt.MethodExact, gbt.MethodHist} {
-		b.Run(method, func(b *testing.B) {
-			p := gbt.DefaultParams()
-			p.NumTrees = 60
-			p.Method = method
-			p.Workers = 4
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := gbt.Train(sel.X, sel.Y, sel.FeatureNames, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// TestWriteBenchGBTArtefact trains exact and hist models on the full
-// telemetry dataset (every Table III training workload at every DVFS
-// operating point) and records timings, test accuracy and the
-// determinism check in BENCH_gbt.json. Gated behind an env var so the
-// regular test run stays fast:
-//
-//	BENCH_GBT=1 go test -run TestWriteBenchGBTArtefact .
-func TestWriteBenchGBTArtefact(t *testing.T) {
-	if os.Getenv("BENCH_GBT") == "" {
-		t.Skip("set BENCH_GBT=1 to refresh BENCH_gbt.json")
-	}
-	cfg := telemetry.DefaultBuildConfig(workload.DefaultSet().TrainNames(), power.DefaultVF().FrequencySteps())
-	cfg.Sim.Thermal.NX, cfg.Sim.Thermal.NY = 24, 18
-	cfg.Sim.WarmStartProbeSteps = 5
-	cfg.Workers = 4
-	ds, err := telemetry.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := ds.Select(telemetry.TableIVFeatureNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stride split: every fifth row held out, so train and test cover the
-	// same workloads and operating points.
-	var trainX, testX [][]float64
-	var trainY, testY []float64
-	for i := range sel.X {
-		if i%5 == 4 {
-			testX, testY = append(testX, sel.X[i]), append(testY, sel.Y[i])
-		} else {
-			trainX, trainY = append(trainX, sel.X[i]), append(trainY, sel.Y[i])
+	p := gbt.DefaultParams()
+	p.NumTrees = 60
+	p.Workers = 4
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gbt.Train(sel.X, sel.Y, sel.FeatureNames, p); err != nil {
+			b.Fatal(err)
 		}
 	}
-	base := gbt.DefaultParams()
-	base.Workers = 4
-
-	timeTrain := func(method string, workers int) (*gbt.Model, float64) {
-		p := base
-		p.Method = method
-		p.Workers = workers
-		t0 := time.Now()
-		m, err := gbt.Train(trainX, trainY, sel.FeatureNames, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, time.Since(t0).Seconds()
-	}
-	exactModel, exactSec := timeTrain(gbt.MethodExact, 4)
-	histModel, histSec := timeTrain(gbt.MethodHist, 4)
-	exactMSE := exactModel.MSE(testX, testY)
-	histMSE := histModel.MSE(testX, testY)
-
-	// The fast path must stay bit-deterministic across worker counts.
-	modelBytes := func(m *gbt.Model) []byte {
-		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	histJ1, _ := timeTrain(gbt.MethodHist, 1)
-	histJ8, _ := timeTrain(gbt.MethodHist, 8)
-	identical := bytes.Equal(modelBytes(histJ1), modelBytes(histJ8))
-	if !identical {
-		t.Error("hist models differ between -j1 and -j8")
-	}
-
-	artefact := map[string]any{
-		"num_cpu":                  runtime.NumCPU(),
-		"gomaxprocs":               runtime.GOMAXPROCS(0),
-		"rows_train":               len(trainX),
-		"rows_test":                len(testX),
-		"features":                 len(sel.FeatureNames),
-		"trees":                    base.NumTrees,
-		"max_depth":                base.MaxDepth,
-		"exact_j4_seconds":         exactSec,
-		"hist_j4_seconds":          histSec,
-		"speedup_hist_over_exact":  exactSec / histSec,
-		"speedup_target":           3.0,
-		"exact_test_mse":           exactMSE,
-		"hist_test_mse":            histMSE,
-		"hist_j1_j8_bit_identical": identical,
-		"accuracy_verified_by":     "TestHistMatchesExactWithinTolerance",
-		"identity_verified_by":     "TestDeterminism_TrainedModelHist / TestHistDeterministicAcrossWorkers",
-	}
-	data, err := json.MarshalIndent(artefact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_gbt.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("exact %.2fs, hist %.2fs (%.2fx) on %d train rows; test MSE %.5f vs %.5f; j1==j8: %v",
-		exactSec, histSec, exactSec/histSec, len(trainX), exactMSE, histMSE, identical)
 }

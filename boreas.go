@@ -49,7 +49,6 @@ import (
 	"github.com/hotgauge/boreas/internal/engine"
 	"github.com/hotgauge/boreas/internal/experiments"
 	"github.com/hotgauge/boreas/internal/hotspot"
-	"github.com/hotgauge/boreas/internal/ml/gbt"
 	"github.com/hotgauge/boreas/internal/platform"
 	"github.com/hotgauge/boreas/internal/power"
 	"github.com/hotgauge/boreas/internal/sim"
@@ -176,15 +175,6 @@ type (
 	TrainConfig = core.TrainConfig
 	// MLController is the guardbanded Boreas frequency controller.
 	MLController = core.Controller
-)
-
-// Split-search methods for TrainConfig.Params.Method. Exact scans every
-// distinct feature value; Hist pre-bins features into quantile
-// histograms and is much faster on large datasets. Both are
-// bit-deterministic at any worker count and share the same model format.
-const (
-	GBTMethodExact = gbt.MethodExact
-	GBTMethodHist  = gbt.MethodHist
 )
 
 // DefaultTrainConfig returns the paper's Table II training configuration.

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"github.com/hotgauge/boreas/internal/atomicio"
-	"github.com/hotgauge/boreas/internal/checkpoint"
 	"github.com/hotgauge/boreas/internal/cliutil"
 	"github.com/hotgauge/boreas/internal/experiments"
 	"github.com/hotgauge/boreas/internal/hotspot"
@@ -103,19 +101,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if store != nil {
+		// A directory that belongs to a differently-configured campaign
+		// is a warning without -resume: run clean with checkpointing off
+		// rather than mixing artefacts across campaigns.
+		scope, err := cfg.Scope()
+		if err != nil {
+			fatal(err)
+		}
+		if store, err = ck.BindStore("boreas", store, scope, cfg.ScopeDesc()); err != nil {
+			fatal(err)
+		}
+		if store == nil {
+			checkpointDir = ""
+		}
+	}
 	cfg.Checkpoint = store
 	fmt.Printf("boreas: running with -j %d\n\n", runner.Normalize(*workers))
 	lab, err := experiments.NewLabContext(ctx, cfg)
-	if err != nil && errors.Is(err, checkpoint.ErrScopeMismatch) && !ck.Resume {
-		// The directory belongs to a differently-configured campaign.
-		// Without -resume that is a warning, not a failure: run clean with
-		// checkpointing off rather than mixing artefacts across campaigns.
-		fmt.Fprintf(os.Stderr, "boreas: %v\n", err)
-		fmt.Fprintln(os.Stderr, "boreas: running without checkpointing")
-		cfg.Checkpoint = nil
-		checkpointDir = ""
-		lab, err = experiments.NewLabContext(ctx, cfg)
-	}
 	if err != nil {
 		fatal(err)
 	}

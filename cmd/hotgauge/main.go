@@ -18,7 +18,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -86,8 +85,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Checkpoint = bindStore(store, scope,
-			fmt.Sprintf("hotgauge dataset: %d workloads, %d frequencies, %d steps", len(names), len(cfg.Frequencies), *steps), ck.Resume)
+		cfg.Checkpoint = bindStore(ck, store, scope,
+			fmt.Sprintf("hotgauge dataset: %d workloads, %d frequencies, %d steps", len(names), len(cfg.Frequencies), *steps))
 		t0 := time.Now()
 		ds, err := telemetry.BuildContext(ctx, cfg)
 		if err != nil {
@@ -111,8 +110,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Checkpoint = bindStore(store, scope,
-			fmt.Sprintf("hotgauge walk: %d workloads, %d walks each", len(names), cfg.WalksPerWorkload), ck.Resume)
+		cfg.Checkpoint = bindStore(ck, store, scope,
+			fmt.Sprintf("hotgauge walk: %d workloads, %d walks each", len(names), cfg.WalksPerWorkload))
 		t0 := time.Now()
 		ds, err := telemetry.BuildWalkContext(ctx, cfg)
 		if err != nil {
@@ -128,23 +127,18 @@ func main() {
 	}
 }
 
-// bindStore records the campaign fingerprint in the store. A mismatch
-// (the directory holds another campaign's fragments) is fatal under
-// -resume; otherwise the run continues clean with checkpointing off.
-func bindStore(store *checkpoint.Store, scope checkpoint.Scope, desc string, resume bool) *checkpoint.Store {
-	if store == nil {
-		return nil
-	}
-	err := store.Bind(scope, desc)
-	if err == nil {
-		return store
-	}
-	if resume || !errors.Is(err, checkpoint.ErrScopeMismatch) {
+// bindStore records the campaign fingerprint in the store per
+// cliutil's BindStore contract, turning off the resume hint when the run
+// continues without checkpointing.
+func bindStore(ck *cliutil.Options, store *checkpoint.Store, scope checkpoint.Scope, desc string) *checkpoint.Store {
+	store, err := ck.BindStore("hotgauge", store, scope, desc)
+	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "hotgauge: %v\nhotgauge: running without checkpointing\n", err)
-	checkpointDir = ""
-	return nil
+	if store == nil {
+		checkpointDir = ""
+	}
+	return store
 }
 
 // writeOutput streams the payload to path via an atomic replace, or to

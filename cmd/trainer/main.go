@@ -4,7 +4,7 @@
 //
 //	trainer -data train.csv -model boreas.gbt
 //	trainer -data train.csv -test test.csv -gridsearch
-//	trainer -data train.csv -method hist -j 4 -model boreas.gbt
+//	trainer -data train.csv -j 4 -model boreas.gbt
 //	trainer -model boreas.gbt -inspect
 //	trainer -data train.csv -platform mobile-7nm -model mobile.gbt
 //
@@ -13,11 +13,9 @@
 // in that platform's catalogue, catching train/deploy mismatches before
 // a model is fitted for the wrong chip.
 //
-// -method selects the split search: "exact" scans every distinct value
-// (the default), "hist" pre-bins features into at most -bins quantile
-// bins (256 when unset) and scans bin histograms instead — much faster
-// on large datasets at a small, bounded accuracy cost. Both produce
-// models in the same format, bit-identical at any -j.
+// Training uses the exact greedy split search, fanned across -j workers;
+// the model is bit-identical at any -j. -gridsearch stops on Ctrl-C,
+// SIGTERM or -deadline like training does.
 //
 //	trainer -data train.csv -model boreas.gbt -checkpoint ckpt
 //
@@ -31,7 +29,6 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,8 +56,6 @@ func main() {
 		alpha   = flag.Float64("alpha", 0.3, "learning rate")
 		gamma   = flag.Float64("gamma", 0, "min split loss")
 		allFeat = flag.Bool("all-features", false, "train on all 78 features instead of the Table IV top 20")
-		method  = flag.String("method", gbt.MethodExact, `split search: "exact" (full scan) or "hist" (histogram-binned fast path)`)
-		bins    = flag.Int("bins", 0, "histogram bin budget for -method hist (0 = 256)")
 		workers = flag.Int("j", runner.DefaultWorkers(), "split-search parallelism; the trained model is identical at any -j")
 		pfArg   = flag.String("platform", "", "optional platform (registered name or scenario .json) to cross-check the dataset's workloads against")
 	)
@@ -92,12 +87,12 @@ func main() {
 			len(m.Trees), m.Params.MaxDepth, len(m.FeatureNames), m.Base)
 		fmt.Printf("cost: %d weight bytes, %d comparisons + %d adds per prediction\n",
 			m.WeightBytes(), cmp, adds)
-		if c, err := m.Compile(); err != nil {
-			fmt.Printf("compiled: unavailable (%v), serving falls back to the pointer walk\n", err)
-		} else {
-			fmt.Printf("compiled: %d B flat-tree tables, %d nodes, fixed depth %d per tree\n",
-				c.SizeBytes(), c.NumNodes(), c.Steps())
+		c, err := m.Compile()
+		if err != nil {
+			fatal(fmt.Errorf("model cannot be served: %w", err))
 		}
+		fmt.Printf("compiled: %d B flat-tree tables, %d nodes, fixed depth %d per tree\n",
+			c.SizeBytes(), c.NumNodes(), c.Steps())
 		fmt.Println("importance:")
 		for i, rf := range m.RankedImportance() {
 			if i >= 20 || rf.Gain == 0 {
@@ -135,8 +130,7 @@ func main() {
 	}
 
 	params := gbt.Params{NumTrees: *trees, MaxDepth: *depth, LearningRate: *alpha,
-		Gamma: *gamma, Lambda: 1, MinChildWeight: 1, Workers: *workers,
-		Method: *method, MaxBins: *bins}
+		Gamma: *gamma, Lambda: 1, MinChildWeight: 1, Workers: *workers}
 
 	if *grid {
 		gridParams := []gbt.Params{}
@@ -147,7 +141,7 @@ func main() {
 				gridParams = append(gridParams, p)
 			}
 		}
-		res, err := gbt.GridSearch(sel.X, sel.Y, sel.Workloads, sel.FeatureNames, gridParams)
+		res, err := gbt.GridSearch(ctx, sel.X, sel.Y, sel.Workloads, sel.FeatureNames, gridParams)
 		if err != nil {
 			fatal(err)
 		}
@@ -170,8 +164,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("trained in %.1fs (%s, -j %d); train MSE: %.5f on %d instances\n",
-		time.Since(t0).Seconds(), *method, runner.Normalize(params.Workers), m.MSE(sel.X, sel.Y), sel.Len())
+	fmt.Printf("trained in %.1fs (-j %d); train MSE: %.5f on %d instances\n",
+		time.Since(t0).Seconds(), runner.Normalize(params.Workers), m.MSE(sel.X, sel.Y), sel.Len())
 
 	if *test != "" {
 		tds, _, err := readCSV(*test)
@@ -203,8 +197,7 @@ func main() {
 // (Workers excluded — it never affects the trained model), and an
 // existing snapshot resumes training at its round. A snapshot that does
 // not match this run's configuration is simply not found under the new
-// scope; a mismatched store is fatal under -resume, otherwise training
-// starts clean with checkpointing off.
+// scope; a mismatched store follows cliutil's BindStore contract.
 func trainHooks(ck *cliutil.Options, dataPath, dataSHA string, features []string, params gbt.Params) (gbt.TrainHooks, error) {
 	store, err := ck.OpenStore("trainer")
 	if err != nil || store == nil {
@@ -217,13 +210,9 @@ func trainHooks(ck *cliutil.Options, dataPath, dataSHA string, features []string
 		return gbt.TrainHooks{}, err
 	}
 	desc := fmt.Sprintf("trainer: %s (sha %.12s), %d trees depth %d", filepath.Base(dataPath), dataSHA, params.NumTrees, params.MaxDepth)
-	if err := store.Bind(scope, desc); err != nil {
-		if ck.Resume || !errors.Is(err, checkpoint.ErrScopeMismatch) {
-			return gbt.TrainHooks{}, err
-		}
-		fmt.Fprintf(os.Stderr, "trainer: %v\ntrainer: running without checkpointing\n", err)
+	if store, err = ck.BindStore("trainer", store, scope, desc); err != nil || store == nil {
 		checkpointDir = ""
-		return gbt.TrainHooks{}, nil
+		return gbt.TrainHooks{}, err
 	}
 	key := scope.Key("model-snapshot")
 	hooks := gbt.TrainHooks{Snapshot: func(m *gbt.Model) error {

@@ -83,23 +83,11 @@ func TestDeterminism_BuildWalkDataset(t *testing.T) {
 }
 
 func TestDeterminism_TrainedModel(t *testing.T) {
-	testDeterminismTrainedModel(t, boreas.GBTMethodExact)
-}
-
-// The histogram-binned fast path makes the same promise: per-feature
-// histograms are accumulated in global instance order and merged in
-// feature order, so the fan-out width never shows in the model bytes.
-func TestDeterminism_TrainedModelHist(t *testing.T) {
-	testDeterminismTrainedModel(t, boreas.GBTMethodHist)
-}
-
-func testDeterminismTrainedModel(t *testing.T, method string) {
 	ds := buildAt(t, 8)
 
 	train := func(workers int) *boreas.Predictor {
 		cfg := boreas.DefaultTrainConfig()
 		cfg.Params.NumTrees = 40
-		cfg.Params.Method = method
 		cfg.Params.Workers = workers
 		pred, err := boreas.TrainPredictor(ds, cfg)
 		if err != nil {

@@ -1,6 +1,8 @@
 package boreas_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,16 +13,19 @@ import (
 // tree: a full quick-config Lab campaign (oracle, critical temperatures,
 // ML05 closed loop, training data) at Workers=4. The platform layer must
 // reproduce every one of them bit-for-bit on the default platform — the
-// refactor is a re-plumbing, not a re-modelling.
+// refactor is a re-plumbing, not a re-modelling. modelSHA256 pins the
+// trained predictor's serialised (BGT2) bytes, so any drift in the
+// exact-greedy trainer shows directly rather than only through the loop.
 var goldenQuickLab = struct {
-	oracleBest map[string]float64
-	oraclePeak map[string]map[float64]float64
-	critTemps  map[float64]float64
-	loopAvg    float64
-	loopPeak   float64
-	loopIncur  int
-	trainRows  int
-	trainYSum  float64
+	oracleBest  map[string]float64
+	oraclePeak  map[string]map[float64]float64
+	critTemps   map[float64]float64
+	loopAvg     float64
+	loopPeak    float64
+	loopIncur   int
+	trainRows   int
+	trainYSum   float64
+	modelSHA256 string
 }{
 	oracleBest: map[string]float64{"gromacs": 4, "hmmer": 4, "bzip2": 4.75},
 	oraclePeak: map[string]map[float64]float64{
@@ -61,11 +66,12 @@ var goldenQuickLab = struct {
 		4.5:  91.353446212176948,
 		4.75: 100.62539726236871,
 	},
-	loopAvg:   4.375,
-	loopPeak:  0.67945939831652624,
-	loopIncur: 0,
-	trainRows: 9216,
-	trainYSum: 6718.8101333853419,
+	loopAvg:     4.375,
+	loopPeak:    0.67945939831652624,
+	loopIncur:   0,
+	trainRows:   9216,
+	trainYSum:   6718.8101333853419,
+	modelSHA256: "d0d7285f5bf5f316fb8f07e3a21daa336b444dd5cb64ebde1c3b59fb581677c1",
 }
 
 // TestQuickLabMatchesPreRefactorGolden runs the full quick campaign on
@@ -139,6 +145,18 @@ func TestQuickLabMatchesPreRefactorGolden(t *testing.T) {
 	if ds.Len() != g.trainRows || sum != g.trainYSum {
 		t.Errorf("training data: rows=%d ysum=%.17g, golden rows=%d ysum=%.17g",
 			ds.Len(), sum, g.trainRows, g.trainYSum)
+	}
+
+	pred, err := lab.Predictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := pred.Model().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(model)); got != g.modelSHA256 {
+		t.Errorf("trained model sha256 = %s, golden %s", got, g.modelSHA256)
 	}
 }
 

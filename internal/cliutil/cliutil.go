@@ -12,6 +12,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -25,6 +26,9 @@ import (
 // or the -deadline. Scripts can distinguish "retry with -resume" (3)
 // from a real failure (1).
 const ExitInterrupted = 3
+
+// stderr receives the fallback warnings of OpenStore and BindStore.
+var stderr io.Writer = os.Stderr
 
 // Options is the parsed checkpoint/cancellation flag set.
 type Options struct {
@@ -75,7 +79,7 @@ func (o *Options) OpenStore(tool string) (*checkpoint.Store, error) {
 		return nil, nil
 	}
 	warn := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, tool+": "+format+"\n", args...)
+		fmt.Fprintf(stderr, tool+": "+format+"\n", args...)
 	}
 	store, err := checkpoint.Open(o.Dir, checkpoint.WithWarnf(warn))
 	if err != nil {
@@ -90,6 +94,27 @@ func (o *Options) OpenStore(tool string) (*checkpoint.Store, error) {
 		warn("checkpoint %s holds %d completed cells; finished work will be replayed", o.Dir, store.Len())
 	}
 	return store, nil
+}
+
+// BindStore records the run's fingerprint in store (a nil store, i.e.
+// checkpointing off, passes through). A scope mismatch means the
+// directory holds another run's cells: under -resume that is an error
+// wrapping checkpoint.ErrScopeMismatch; otherwise it is a warning and
+// the run continues clean with checkpointing off, signalled by a nil
+// store and a nil error.
+func (o *Options) BindStore(tool string, store *checkpoint.Store, scope checkpoint.Scope, desc string) (*checkpoint.Store, error) {
+	if store == nil {
+		return nil, nil
+	}
+	err := store.Bind(scope, desc)
+	if err == nil {
+		return store, nil
+	}
+	if o.Resume || !errors.Is(err, checkpoint.ErrScopeMismatch) {
+		return nil, err
+	}
+	fmt.Fprintf(stderr, "%s: %v\n%s: running without checkpointing\n", tool, err, tool)
+	return nil, nil
 }
 
 // ExitUsage is the exit code for an invalid flag value, matching what

@@ -120,3 +120,45 @@ func TestContextDeadline(t *testing.T) {
 		t.Fatalf("deadline expiry should read as interrupted, got %v", ctx.Err())
 	}
 }
+
+func TestBindStoreScopeMismatch(t *testing.T) {
+	dir := t.TempDir()
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := checkpoint.NewScope("cliutil/test", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := checkpoint.NewScope("cliutil/test", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warned strings.Builder
+	stderr = &warned
+	defer func() { stderr = os.Stderr }()
+
+	o := &Options{Dir: dir}
+	if got, err := o.BindStore("test", nil, first, "first"); got != nil || err != nil {
+		t.Fatalf("nil store (checkpointing off) = (%v, %v), want (nil, nil)", got, err)
+	}
+	if got, err := o.BindStore("test", store, first, "first"); got != store || err != nil {
+		t.Fatalf("first bind = (%v, %v), want the store", got, err)
+	}
+
+	// Without -resume: warn and run with checkpointing off.
+	got, err := o.BindStore("test", store, other, "other")
+	if got != nil || err != nil {
+		t.Fatalf("mismatch without -resume = (%v, %v), want (nil, nil)", got, err)
+	}
+	if msg := warned.String(); !strings.Contains(msg, "running without checkpointing") || !strings.Contains(msg, "test: ") {
+		t.Fatalf("mismatch warning %q does not name the tool and the fallback", msg)
+	}
+
+	// With -resume: the same mismatch is fatal.
+	o.Resume = true
+	if _, err := o.BindStore("test", store, other, "other"); !errors.Is(err, checkpoint.ErrScopeMismatch) {
+		t.Fatalf("mismatch under -resume = %v, want ErrScopeMismatch", err)
+	}
+}

@@ -27,10 +27,8 @@ import (
 // for evaluating a hypothetical higher frequency.
 type Predictor struct {
 	model *gbt.Model
-	// compiled is the flat-tree form of model, the allocation-free hot
-	// path for every prediction (bit-identical to the pointer walk). Nil
-	// only when compilation failed, in which case the pointer walk is
-	// used.
+	// compiled is the flat-tree form of model, the allocation-free path
+	// every prediction runs on (bit-identical to Model.Predict).
 	compiled *gbt.Compiled
 	// cols[i] is the index into the full 78-feature vector for model
 	// feature i.
@@ -62,8 +60,11 @@ func (p *Predictor) vf() power.VFCurve {
 	return p.VF
 }
 
-// NewPredictor binds a trained model to the telemetry schema. The model's
-// FeatureNames must all exist in the full feature vocabulary.
+// NewPredictor binds a trained model to the telemetry schema and compiles
+// it for serving. The model's FeatureNames must all exist in the full
+// feature vocabulary, and its trees must compile: a malformed ensemble
+// (an unreachable or out-of-range node, say) is rejected here rather
+// than served.
 func NewPredictor(model *gbt.Model) (*Predictor, error) {
 	if model == nil || len(model.Trees) == 0 {
 		return nil, fmt.Errorf("core: empty model")
@@ -83,12 +84,11 @@ func NewPredictor(model *gbt.Model) (*Predictor, error) {
 			p.voltCol = i
 		}
 	}
-	// Compile failure (a malformed hand-built ensemble) is not fatal:
-	// predictions fall back to the pointer walk, which accepts anything
-	// Predict accepts.
-	if c, err := model.Compile(); err == nil {
-		p.compiled = c
+	c, err := model.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("core: serving model: %w", err)
 	}
+	p.compiled = c
 	return p, nil
 }
 
@@ -121,8 +121,8 @@ func isCountFeature(name string) bool {
 // Model returns the underlying GBT ensemble.
 func (p *Predictor) Model() *gbt.Model { return p.model }
 
-// Compiled returns the flat-tree form of the model serving as the hot
-// path (nil if compilation failed and the pointer walk is in use).
+// Compiled returns the flat-tree form of the model that serves every
+// prediction.
 func (p *Predictor) Compiled() *gbt.Compiled { return p.compiled }
 
 // features builds the model's input row from raw telemetry into the
@@ -139,27 +139,10 @@ func (p *Predictor) features(k arch.Counters, sensorTemp float64) []float64 {
 	return p.row
 }
 
-// predictRow scores one feature row on the compiled hot path (pointer
-// walk when compilation failed).
-func (p *Predictor) predictRow(row []float64) float64 {
-	if p.compiled != nil {
-		return p.compiled.Predict(row)
-	}
-	return p.model.Predict(row)
-}
-
-// predictRowChecked is predictRow with the non-finite input screen.
-func (p *Predictor) predictRowChecked(row []float64) (float64, error) {
-	if p.compiled != nil {
-		return p.compiled.PredictChecked(row)
-	}
-	return p.model.PredictChecked(row)
-}
-
 // Predict returns the predicted max severity over the next interval if
 // the system keeps running at its current frequency.
 func (p *Predictor) Predict(k arch.Counters, sensorTemp float64) float64 {
-	return p.predictRow(p.features(k, sensorTemp))
+	return p.compiled.Predict(p.features(k, sensorTemp))
 }
 
 // PredictChecked is Predict with the model's non-finite input screen: a
@@ -168,7 +151,7 @@ func (p *Predictor) Predict(k arch.Counters, sensorTemp float64) float64 {
 // This is the entry point controllers use to fail safe on faulty
 // telemetry, consistent with the control.GuardedController screens.
 func (p *Predictor) PredictChecked(k arch.Counters, sensorTemp float64) (float64, error) {
-	return p.predictRowChecked(p.features(k, sensorTemp))
+	return p.compiled.PredictChecked(p.features(k, sensorTemp))
 }
 
 // PredictAt returns the what-if prediction for running the next interval
@@ -177,13 +160,13 @@ func (p *Predictor) PredictChecked(k arch.Counters, sensorTemp float64) (float64
 // same phase at a different clock), rates and the sensor reading are
 // carried over, and the operating-point features are rewritten.
 func (p *Predictor) PredictAt(k arch.Counters, sensorTemp, newFreq float64) float64 {
-	return p.predictRow(p.whatIfRow(k, sensorTemp, newFreq))
+	return p.compiled.Predict(p.whatIfRow(k, sensorTemp, newFreq))
 }
 
 // PredictAtChecked is PredictAt with the non-finite input screen of
 // PredictChecked.
 func (p *Predictor) PredictAtChecked(k arch.Counters, sensorTemp, newFreq float64) (float64, error) {
-	return p.predictRowChecked(p.whatIfRow(k, sensorTemp, newFreq))
+	return p.compiled.PredictChecked(p.whatIfRow(k, sensorTemp, newFreq))
 }
 
 // whatIfRow builds the what-if feature row for running the next interval

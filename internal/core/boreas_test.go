@@ -95,6 +95,24 @@ func TestPredictorRejectsBadModels(t *testing.T) {
 	}
 }
 
+// TestPredictorRejectsUncompilableModel: every prediction runs on the
+// compiled form, so a malformed ensemble that Compile refuses (here a
+// node no root path reaches) is an error at construction, not served.
+func TestPredictorRejectsUncompilableModel(t *testing.T) {
+	m := &gbt.Model{FeatureNames: []string{telemetry.SensorFeature}, Trees: []gbt.Tree{{Nodes: []gbt.Node{
+		{Feature: 0, Threshold: 60, Left: 1, Right: 2},
+		{Feature: -1, Value: 0.5},
+		{Feature: -1, Value: 0.9},
+		{Feature: -1, Value: 2},
+	}}}}
+	if _, err := m.Compile(); err == nil {
+		t.Fatal("fixture compiles; it must exercise a Compile failure")
+	}
+	if _, err := NewPredictor(m); err == nil {
+		t.Fatal("NewPredictor accepted a model that does not compile")
+	}
+}
+
 func TestPredictMonotoneInTemperature(t *testing.T) {
 	ds := syntheticDataset(3, 4000)
 	pred, err := Train(ds, TrainConfig{Params: fastParams()})
@@ -244,17 +262,17 @@ func TestControllerNonFiniteCountersFailSafe(t *testing.T) {
 	}
 }
 
-// TestTrainPreservesMethodKnobs: defaulted hyper-parameters must not
-// wipe the run-time knobs (the histogram method in particular).
-func TestTrainPreservesMethodKnobs(t *testing.T) {
+// TestTrainPreservesWorkers: defaulted hyper-parameters must not wipe
+// the run-time Workers knob.
+func TestTrainPreservesWorkers(t *testing.T) {
 	ds := syntheticDataset(9, 600)
-	pred, err := Train(ds, TrainConfig{Params: gbt.Params{Method: gbt.MethodHist, MaxBins: 64}})
+	pred, err := Train(ds, TrainConfig{Params: gbt.Params{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := pred.Model().Params
-	if p.NumTrees != 223 || p.Method != gbt.MethodHist || p.MaxBins != 64 {
-		t.Fatalf("method knobs lost when defaulting: %+v", p)
+	if p.NumTrees != 223 || p.Workers != 1 {
+		t.Fatalf("Workers lost when defaulting: %+v", p)
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -295,6 +297,28 @@ func TestFig9Curve(t *testing.T) {
 	}
 	if r.BestIndex == 0 {
 		t.Fatal("the 2-stump model cannot be the best")
+	}
+}
+
+// TestFig9StopsOnCancel: the cross-validation sweep trains under the
+// Lab's context, so a cancelled campaign (Ctrl-C, -deadline) stops Fig 9
+// instead of retraining the whole grid.
+func TestFig9StopsOnCancel(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.TrainNames = cfg.TrainNames[:2]
+	cfg.WalksPerWorkload = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	l, err := NewLabContext(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.TrainingData(); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := Fig9MSEvsSize(l, DefaultFig9Grid()[:2]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig9MSEvsSize on a cancelled lab = %v, want context.Canceled", err)
 	}
 }
 

@@ -104,7 +104,9 @@ func TableIVFeatureImportance(l *Lab) (*TableIVResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m20, err := gbt.Train(selTrain.X, selTrain.Y, selTrain.FeatureNames, gbt.DefaultParams())
+	p := gbt.DefaultParams()
+	p.Workers = l.cfg.Workers
+	m20, err := gbt.TrainContext(l.ctx, selTrain.X, selTrain.Y, selTrain.FeatureNames, p)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +191,9 @@ func Fig9MSEvsSize(l *Lab, grid []gbt.Params) (*Fig9Result, error) {
 	res := &Fig9Result{}
 	bestMSE := -1.0
 	for _, p := range grid {
-		cv, err := gbt.LeaveOneGroupOut(sel.X, sel.Y, sel.Workloads, sel.FeatureNames, p)
+		cvp := p
+		cvp.Workers = l.cfg.Workers
+		cv, err := gbt.LeaveOneGroupOut(l.ctx, sel.X, sel.Y, sel.Workloads, sel.FeatureNames, cvp)
 		if err != nil {
 			return nil, err
 		}
@@ -249,8 +253,7 @@ type OverheadResult struct {
 	TotalOps    int
 	// CompiledBytes/CompiledNodes/CompiledSteps describe the deployed
 	// flat-tree tables: total table footprint, node count, and the fixed
-	// per-tree traversal depth every prediction executes. Zero when
-	// compilation fell back to the pointer walk.
+	// per-tree traversal depth every prediction executes.
 	CompiledBytes int
 	CompiledNodes int
 	CompiledSteps int
@@ -263,27 +266,21 @@ func Overhead(l *Lab) (*OverheadResult, error) {
 		return nil, err
 	}
 	cmp, adds := pred.Model().PredictionOps()
-	r := &OverheadResult{
-		WeightBytes: pred.Model().WeightBytes(),
-		Comparisons: cmp,
-		Adds:        adds,
-		TotalOps:    cmp + adds,
-	}
-	if c := pred.Compiled(); c != nil {
-		r.CompiledBytes = c.SizeBytes()
-		r.CompiledNodes = c.NumNodes()
-		r.CompiledSteps = c.Steps()
-	}
-	return r, nil
+	c := pred.Compiled()
+	return &OverheadResult{
+		WeightBytes:   pred.Model().WeightBytes(),
+		Comparisons:   cmp,
+		Adds:          adds,
+		TotalOps:      cmp + adds,
+		CompiledBytes: c.SizeBytes(),
+		CompiledNodes: c.NumNodes(),
+		CompiledSteps: c.Steps(),
+	}, nil
 }
 
 // Render formats the overhead report.
 func (r *OverheadResult) Render() string {
-	s := fmt.Sprintf("Overhead (paper §V-E): %d B weights (<14 KB), %d comparisons + %d adds = %d ops per prediction\n",
-		r.WeightBytes, r.Comparisons, r.Adds, r.TotalOps)
-	if r.CompiledBytes > 0 {
-		s += fmt.Sprintf("  compiled flat-tree form: %d B tables, %d nodes, fixed depth %d per tree, 0 allocs per prediction\n",
-			r.CompiledBytes, r.CompiledNodes, r.CompiledSteps)
-	}
-	return s
+	return fmt.Sprintf("Overhead (paper §V-E): %d B weights (<14 KB), %d comparisons + %d adds = %d ops per prediction\n"+
+		"  compiled flat-tree form: %d B tables, %d nodes, fixed depth %d per tree, 0 allocs per prediction\n",
+		r.WeightBytes, r.Comparisons, r.Adds, r.TotalOps, r.CompiledBytes, r.CompiledNodes, r.CompiledSteps)
 }

@@ -1,11 +1,10 @@
 package gbt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
-
-	"github.com/hotgauge/boreas/internal/runner"
 )
 
 // CVResult summarises a leave-one-group-out cross-validation: the paper's
@@ -20,8 +19,10 @@ type CVResult struct {
 
 // LeaveOneGroupOut trains one model per distinct group with that group's
 // instances held out, evaluates on the held-out group, and aggregates.
-// groups labels each row (the source application).
-func LeaveOneGroupOut(x [][]float64, y []float64, groups []string, featureNames []string, p Params) (CVResult, error) {
+// groups labels each row (the source application). Each fold trains
+// with TrainContext, so cancelling ctx stops the sweep within one
+// boosting round; the error then wraps the context's cause.
+func LeaveOneGroupOut(ctx context.Context, x [][]float64, y []float64, groups []string, featureNames []string, p Params) (CVResult, error) {
 	if len(x) != len(y) || len(x) != len(groups) {
 		return CVResult{}, fmt.Errorf("gbt: cv inputs of different lengths")
 	}
@@ -53,7 +54,7 @@ func LeaveOneGroupOut(x [][]float64, y []float64, groups []string, featureNames 
 				ty = append(ty, y[i])
 			}
 		}
-		m, err := Train(tx, ty, featureNames, p)
+		m, err := TrainContext(ctx, tx, ty, featureNames, p)
 		if err != nil {
 			return CVResult{}, fmt.Errorf("gbt: cv fold %q: %w", hold, err)
 		}
@@ -70,95 +71,17 @@ func LeaveOneGroupOut(x [][]float64, y []float64, groups []string, featureNames 
 	return res, nil
 }
 
-// CrossValidate runs grouped k-fold cross-validation: distinct workloads
-// (groups) are assigned whole to folds by a stable hash of their name,
-// so no workload ever straddles the train/validation boundary and the
-// fold layout is independent of row order. Params (including Method) are
-// honoured per fold exactly as in LeaveOneGroupOut, of which this is the
-// cheaper cousin for k < number of workloads.
-//
-// The degenerate layouts fail loudly instead of silently producing
-// useless folds: k below 2, k exceeding the number of distinct
-// workloads, and a fold that ends up with no validation workloads (the
-// hash bucketed every workload elsewhere) are all descriptive errors.
-func CrossValidate(x [][]float64, y []float64, groups []string, featureNames []string, k int, p Params) (CVResult, error) {
-	if len(x) != len(y) || len(x) != len(groups) {
-		return CVResult{}, fmt.Errorf("gbt: cv inputs of different lengths (%d rows, %d labels, %d groups)",
-			len(x), len(y), len(groups))
-	}
-	if k < 2 {
-		return CVResult{}, fmt.Errorf("gbt: cv needs k >= 2 folds, got k=%d", k)
-	}
-	distinct := make([]string, 0)
-	seen := map[string]bool{}
-	for _, g := range groups {
-		if !seen[g] {
-			seen[g] = true
-			distinct = append(distinct, g)
-		}
-	}
-	if k > len(distinct) {
-		return CVResult{}, fmt.Errorf("gbt: cv k=%d exceeds the %d distinct workloads; folds hold out whole workloads, so k must be at most the workload count (use LeaveOneGroupOut for k == count)",
-			k, len(distinct))
-	}
-	sort.Strings(distinct)
-	foldOf := make(map[string]int, len(distinct))
-	foldSize := make([]int, k)
-	for _, g := range distinct {
-		f := int(runner.HashString(g) % uint64(k))
-		foldOf[g] = f
-		foldSize[f]++
-	}
-	for f, sz := range foldSize {
-		if sz == 0 {
-			return CVResult{}, fmt.Errorf("gbt: cv fold %d of %d is empty: the %d workloads all hashed into other folds; choose a smaller k",
-				f, k, len(distinct))
-		}
-	}
-
-	res := CVResult{Params: p, PerGroup: make(map[string]float64, k)}
-	for f := 0; f < k; f++ {
-		var tx [][]float64
-		var ty []float64
-		var vx [][]float64
-		var vy []float64
-		for i := range x {
-			if foldOf[groups[i]] == f {
-				vx = append(vx, x[i])
-				vy = append(vy, y[i])
-			} else {
-				tx = append(tx, x[i])
-				ty = append(ty, y[i])
-			}
-		}
-		m, err := Train(tx, ty, featureNames, p)
-		if err != nil {
-			return CVResult{}, fmt.Errorf("gbt: cv fold %d: %w", f, err)
-		}
-		res.PerGroup[fmt.Sprintf("fold%02d", f)] = m.MSE(vx, vy)
-	}
-	sum, sumsq := 0.0, 0.0
-	for _, v := range res.PerGroup {
-		sum += v
-		sumsq += v * v
-	}
-	kk := float64(len(res.PerGroup))
-	res.MeanMSE = sum / kk
-	res.StdMSE = math.Sqrt(math.Max(0, sumsq/kk-res.MeanMSE*res.MeanMSE))
-	return res, nil
-}
-
 // GridSearch runs LeaveOneGroupOut for every parameter set and returns
 // the results sorted by mean MSE (best first). Ties break toward the
 // smaller model (fewer nodes), matching the paper's preference for the
 // smallest accurate model.
-func GridSearch(x [][]float64, y []float64, groups []string, featureNames []string, grid []Params) ([]CVResult, error) {
+func GridSearch(ctx context.Context, x [][]float64, y []float64, groups []string, featureNames []string, grid []Params) ([]CVResult, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("gbt: empty parameter grid")
 	}
 	out := make([]CVResult, 0, len(grid))
 	for _, p := range grid {
-		r, err := LeaveOneGroupOut(x, y, groups, featureNames, p)
+		r, err := LeaveOneGroupOut(ctx, x, y, groups, featureNames, p)
 		if err != nil {
 			return nil, err
 		}

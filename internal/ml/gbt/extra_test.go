@@ -2,27 +2,11 @@ package gbt
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
 )
-
-func TestPredictAll(t *testing.T) {
-	x, y := synth(20, 500)
-	m, err := Train(x, y, names3, Params{NumTrees: 10, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds := m.PredictAll(x[:10])
-	if len(preds) != 10 {
-		t.Fatalf("PredictAll returned %d", len(preds))
-	}
-	for i, p := range preds {
-		if p != m.Predict(x[i]) {
-			t.Fatal("PredictAll disagrees with Predict")
-		}
-	}
-}
 
 func TestSafetyWeightBiasesUpward(t *testing.T) {
 	x, y := synth(21, 3000)
@@ -150,7 +134,7 @@ func TestCVResultStdNonNegativeAndFinite(t *testing.T) {
 		groups[i] = []string{"a", "b", "c", "d"}[i%4]
 	}
 	p := Params{NumTrees: 8, MaxDepth: 2, LearningRate: 0.3, Lambda: 1, MinChildWeight: 1}
-	res, err := LeaveOneGroupOut(x, y, groups, names3, p)
+	res, err := LeaveOneGroupOut(context.Background(), x, y, groups, names3, p)
 	if err != nil {
 		t.Fatal(err)
 	}

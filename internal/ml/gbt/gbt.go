@@ -18,20 +18,6 @@ import (
 	"github.com/hotgauge/boreas/internal/runner"
 )
 
-// Training methods selectable via Params.Method.
-const (
-	// MethodExact is the exact greedy split search: every boundary
-	// between adjacent distinct feature values in a node is a split
-	// candidate. This is the reference scanner and the default.
-	MethodExact = "exact"
-	// MethodHist is the histogram-binned split search: each feature is
-	// pre-binned once into at most MaxBins quantile bins and split
-	// candidates are the bin boundaries. Much faster on large datasets,
-	// bit-deterministic at any worker count, and within a small accuracy
-	// tolerance of the exact scanner (see hist.go).
-	MethodHist = "hist"
-)
-
 // Params are the training hyper-parameters (Table II vocabulary).
 type Params struct {
 	// NumTrees is n_estimators.
@@ -62,15 +48,6 @@ type Params struct {
 	// feature order. Workers is a run-time knob, not a model property,
 	// and is not serialised.
 	Workers int
-	// Method selects the split search: MethodExact ("" or "exact", the
-	// default) or MethodHist ("hist"). Like Workers it is a training-time
-	// knob, not a model property, and is not serialised: both methods
-	// produce the same Tree/Model representation.
-	Method string
-	// MaxBins bounds the per-feature quantile bins used by MethodHist;
-	// 0 means 256. Must be in [2, 256] (bins are stored as uint8).
-	// Ignored by MethodExact.
-	MaxBins int
 }
 
 // DefaultParams returns the paper's chosen configuration (Table II):
@@ -103,37 +80,7 @@ func (p Params) Validate() error {
 	if p.SafetyWeight < 0 {
 		return fmt.Errorf("gbt: negative safety weight")
 	}
-	switch p.Method {
-	case "", MethodExact, MethodHist:
-	default:
-		return fmt.Errorf("gbt: unknown method %q (want %q or %q)", p.Method, MethodExact, MethodHist)
-	}
-	if p.MaxBins != 0 && (p.MaxBins < 2 || p.MaxBins > 256) {
-		return fmt.Errorf("gbt: MaxBins %d outside [2,256]", p.MaxBins)
-	}
 	return nil
-}
-
-// method normalises the empty Method to MethodExact.
-func (p Params) method() string {
-	if p.Method == "" {
-		return MethodExact
-	}
-	return p.Method
-}
-
-// maxBins normalises the zero MaxBins to 256.
-func (p Params) maxBins() int {
-	if p.MaxBins == 0 {
-		return 256
-	}
-	return p.MaxBins
-}
-
-// leafValue converts node gradient/hessian aggregates into the (shrunk)
-// newton-step leaf weight. Shared by both split-search methods.
-func (p Params) leafValue(g, h float64) float64 {
-	return p.LearningRate * g / (h + p.Lambda)
 }
 
 // Node is one tree node. Leaves have Feature == -1 and carry Value;
@@ -234,28 +181,8 @@ func (m *Model) PredictChecked(x []float64) (float64, error) {
 	return m.Predict(x), nil
 }
 
-// PredictAll evaluates the ensemble on many rows. The batch is served
-// from the compiled flat representation (bit-identical to the pointer
-// walk, several times faster); a model whose trees cannot compile — only
-// possible for a malformed hand-built ensemble — falls back to the
-// pointer walk.
-func (m *Model) PredictAll(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	if c, err := m.Compile(); err == nil {
-		for i, row := range x {
-			out[i] = c.Predict(row)
-		}
-		return out
-	}
-	for i, row := range x {
-		out[i] = m.Predict(row)
-	}
-	return out
-}
-
-// MSE returns the mean squared error on a dataset. Like PredictAll it
-// runs on the compiled representation, which changes no bits of the
-// result.
+// MSE returns the mean squared error on a dataset. It runs on the
+// compiled representation, which changes no bits of the result.
 func (m *Model) MSE(x [][]float64, y []float64) float64 {
 	if len(x) == 0 {
 		return 0
@@ -270,15 +197,6 @@ func (m *Model) MSE(x [][]float64, y []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(x))
-}
-
-// treeBuilder grows one regression tree from the current gradient and
-// hessian vectors. Both split-search methods implement it over the same
-// shared grad/hess slices, so the boosting loop in Train is method-blind.
-// The context bounds the builder's internal fan-out; a tree built under
-// a cancelled context may be degenerate and is discarded by the caller.
-type treeBuilder interface {
-	buildTree(ctx context.Context) Tree
 }
 
 // trainer holds the level-wise exact-greedy split machinery.
@@ -347,7 +265,7 @@ func Train(x [][]float64, y []float64, featureNames []string, p Params) (*Model,
 }
 
 // TrainContext is Train with cancellation: the context is checked every
-// boosting round (both split-search methods), so a SIGINT or deadline
+// boosting round, so a SIGINT or deadline
 // stops a long train within one round instead of running to completion.
 // The returned error wraps the context's cancellation cause.
 func TrainContext(ctx context.Context, x [][]float64, y []float64, featureNames []string, p Params) (*Model, error) {
@@ -387,13 +305,7 @@ func TrainContextHooks(ctx context.Context, x [][]float64, y []float64, featureN
 
 	grad := make([]float64, n)
 	hess := make([]float64, n)
-	var builder treeBuilder
-	switch p.method() {
-	case MethodHist:
-		builder = newHistTrainer(ctx, x, grad, hess, p)
-	default:
-		builder = newExactTrainer(ctx, x, grad, hess, p)
-	}
+	builder := newExactTrainer(ctx, x, grad, hess, p)
 
 	pred := make([]float64, n)
 	for i := range pred {
@@ -657,7 +569,8 @@ func (tr *trainer) scanFeature(f int, pos map[int32]int, gTot, hTot []float64) [
 	return best
 }
 
-// grad2leaf converts node aggregates into the (shrunk) leaf weight.
+// grad2leaf converts node gradient/hessian aggregates into the (shrunk)
+// newton-step leaf weight.
 func (tr *trainer) grad2leaf(g, h float64) float64 {
-	return tr.p.leafValue(g, h)
+	return tr.p.LearningRate * g / (h + tr.p.Lambda)
 }
